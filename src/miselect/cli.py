@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 from . import bounds as _bounds
@@ -52,7 +51,6 @@ def _tool_meta() -> dict:
         "tie_tolerance": _search.TIE_TOL,
         "zero_tolerance": 1e-12,
         "log_base": 2,
-        "threads": os.environ.get("MISELECT_THREADS"),
     }
 
 

@@ -8,8 +8,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .distribution import JointDistribution
-from .info import clip_zero
+from . import info as _info
+from .distribution import JointDistribution, _as_vars
 
 STRATEGIES = ("equal-width", "equal-frequency", "pass-through")
 
@@ -93,33 +93,27 @@ class Dataset:
         return self.features[:, j], self.feature_cards[j]
 
 
-def _dense_recode(codes: np.ndarray) -> tuple[np.ndarray, int]:
-    """Relabel codes to 0..K-1 preserving order; K = distinct count."""
-    uniq, inv = np.unique(codes, return_inverse=True)
-    return inv.astype(np.int64), len(uniq)
-
-
 def quantize_column(values: np.ndarray, spec: QuantizerSpec) -> tuple[np.ndarray, int]:
     """Discretize one numeric column into dense codes."""
     values = np.asarray(values, dtype=float)
     if spec.strategy == "pass-through":
         if not np.all(values == np.floor(values)):
             raise ValueError("pass-through quantizer requires integer-valued column")
-        return _dense_recode(values.astype(np.int64))
+        return _info._ranks(values.astype(np.int64))
     lo, hi = values.min(), values.max()
     if lo == hi:
         return np.zeros(len(values), dtype=np.int64), 1
     if spec.strategy == "equal-width":
         width = (hi - lo) / spec.bins
         raw = np.minimum((values - lo) // width, spec.bins - 1).astype(np.int64)
-        return _dense_recode(raw)
+        return _info._ranks(raw)
     # equal-frequency: thresholds at order statistics so that, for all-distinct
     # values, per-bin counts differ by at most 1
     order = np.sort(values)
     n = len(values)
     cuts = [order[int(np.ceil(n * i / spec.bins)) - 1] for i in range(1, spec.bins)]
     raw = np.searchsorted(np.asarray(cuts), values, side="left").astype(np.int64)
-    return _dense_recode(raw)
+    return _info._ranks(raw)
 
 
 def _encode_column(raw: list[str], name: str, spec: QuantizerSpec) -> tuple[np.ndarray, int]:
@@ -184,81 +178,39 @@ def load_csv(path, target_name: str,
 def composite_view(ds: Dataset, vars) -> tuple[np.ndarray, int]:
     """Map each distinct observed tuple of `vars` to a distinct code.
 
-    Cardinality equals the number of distinct observed tuples; singleton
-    sets reduce to an identity-style recoding.
+    Codes are the lexicographic ranks of the tuples, so the cardinality
+    equals the number of distinct observed tuples.
     """
-    names = [vars] if isinstance(vars, str) else list(vars)
-    if not names:
-        raise ValueError("composite_view needs a nonempty variable set")
-    cols = [ds.codes(v)[0] for v in names]
-    if len(cols) == 1:
-        return _dense_recode(cols[0])
-    stacked = np.column_stack(cols)
-    _, inv = np.unique(stacked, axis=0, return_inverse=True)
-    inv = inv.astype(np.int64)
-    return inv, int(inv.max()) + 1
+    cell, counts = _info._cells([ds.codes(v) for v in _as_vars(vars)], ds.n)
+    return cell, len(counts)
 
 
 def empirical_distribution(ds: Dataset, vars) -> JointDistribution:
     """Plug-in joint distribution of the named columns (counts / n)."""
-    names = [vars] if isinstance(vars, str) else list(vars)
-    if not names:
-        raise ValueError("empirical_distribution needs a nonempty variable set")
-    cols = [ds.codes(v) for v in names]
-    stacked = np.column_stack([c for c, _ in cols])
-    uniq, counts = np.unique(stacked, axis=0, return_counts=True)
-    n = ds.n
-    mass = {tuple(int(v) for v in state): int(cnt) / n
-            for state, cnt in zip(uniq, counts)}
+    cols = [ds.codes(v) for v in _as_vars(vars)]
+    cell, counts = _info._cells(cols, ds.n)
+    states = np.empty((len(counts), len(cols)), dtype=np.int64)
+    states[cell] = np.column_stack([c for c, _ in cols])
     return JointDistribution(
-        variables=tuple(names),
+        variables=_as_vars(vars),
         cardinalities=tuple(card for _, card in cols),
-        mass=mass,
+        mass={tuple(int(v) for v in state): int(cnt) / ds.n
+              for state, cnt in zip(states, counts)},
         origin="empirical",
-        sample_count=n,
+        sample_count=ds.n,
     )
 
 
-def _counts2(a, ca, b, cb, n):
-    return np.bincount(a * cb + b, minlength=ca * cb).reshape(ca, cb) / n
-
-
 def mutual_information(ds: Dataset, x, y) -> float:
-    """Plug-in I(X;Y) in bits; X and Y may be column sets (composite views)."""
-    a, ca = composite_view(ds, x)
-    b, cb = composite_view(ds, y)
-    pxy = _counts2(a, ca, b, cb, ds.n)
-    px = pxy.sum(axis=1, keepdims=True)
-    py = pxy.sum(axis=0, keepdims=True)
-    nz = pxy > 0
-    mi = float(np.sum(pxy[nz] * np.log2(pxy[nz] / (px * py)[nz])))
-    return max(clip_zero(mi), 0.0)
+    """Plug-in I(X;Y) in bits; X and Y are disjoint column sets."""
+    return _info._mutual_information((ds.codes, ds.n, None), x, y)
 
 
 def conditional_mutual_information(ds: Dataset, x, y, z) -> float:
     """Plug-in I(X;Y|Z) in bits; empty Z reduces to mutual_information."""
-    znames = [z] if isinstance(z, str) else list(z)
-    if not znames:
-        return mutual_information(ds, x, y)
-    a, ca = composite_view(ds, x)
-    b, cb = composite_view(ds, y)
-    c, cz = composite_view(ds, znames)
-    n = ds.n
-    counts = np.bincount((a * cb + b) * cz + c,
-                         minlength=ca * cb * cz).reshape(ca, cb, cz) / n
-    pz = counts.sum(axis=(0, 1))
-    paz = counts.sum(axis=1)
-    pbz = counts.sum(axis=0)
-    nz = counts > 0
-    num = counts * pz[None, None, :]
-    den = paz[:, None, :] * pbz[None, :, :]
-    cmi = float(np.sum(counts[nz] * np.log2(num[nz] / den[nz])))
-    return max(clip_zero(cmi), 0.0)
+    return _info._conditional_mutual_information((ds.codes, ds.n, None), x, y, z)
 
 
 def entropy(ds: Dataset, vars) -> float:
     """Plug-in H(vars) in bits."""
-    a, _ = composite_view(ds, vars)
-    p = np.bincount(a) / ds.n
-    p = p[p > 0]
-    return max(clip_zero(float(-np.sum(p * np.log2(p)))), 0.0)
+    return _info._entropy((ds.codes, ds.n, None), vars)

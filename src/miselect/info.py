@@ -1,9 +1,14 @@
-"""Exact discrete information measures (all in bits, log base 2)."""
+"""Exact discrete information measures (all in bits, log base 2).
+
+These measures and their plug-in twins in `miselect.data` share one
+counting kernel, which sums each formula over the nonzero cells only.
+"""
 
 from __future__ import annotations
 
-import math
 from itertools import combinations
+
+import numpy as np
 
 from .distribution import JointDistribution, _as_vars
 
@@ -16,98 +21,138 @@ def clip_zero(value: float, tol: float = ZERO_TOL) -> float:
     return 0.0 if abs(value) < tol else value
 
 
-def _check_disjoint(*groups):
+def _check_disjoint(*groups) -> list[tuple[str, ...]]:
+    """The groups as tuples of names; raises if two of them share a name."""
+    groups = [_as_vars(g) for g in groups]
     seen = set()
     for g in groups:
         for v in g:
             if v in seen:
                 raise ValueError(f"variable sets overlap on {v!r}")
             seen.add(v)
+    return groups
+
+
+def _ranks(code: np.ndarray) -> tuple[np.ndarray, int]:
+    """Relabel codes to 0..K-1 preserving order; K = distinct count."""
+    uniq, inv = np.unique(code, return_inverse=True)
+    return inv, len(uniq)
+
+
+def _code(cols, n: int) -> tuple[np.ndarray, int]:
+    """Mixed-radix code of the rows of (codes, cardinality) columns, and its radix.
+
+    Codes order the rows lexicographically by the columns.  Whenever the
+    radix passes n the code is recoded to dense ranks, and so is a column
+    whose cardinality passes n: codes stay below n*n, never overflow int64,
+    and the radix returned is at most n.
+    """
+    if not cols:
+        raise ValueError("information measures need nonempty variable sets")
+    code, radix = np.zeros(n, dtype=np.int64), 1
+    for col, card in cols:
+        if card > n:
+            col, card = _ranks(col)
+        code = code * card + col
+        radix *= card
+        if radix > n:
+            code, radix = _ranks(code)
+    return code, radix
+
+
+def _cells(cols, n: int, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's cell (its dense lexicographic rank in `cols`) and the count,
+    or summed weight, of every cell.  Rows must have positive weight."""
+    code, radix = _code(cols, n)
+    counts = np.bincount(code, weights=weights, minlength=radix)
+    keep = counts > 0
+    return (np.cumsum(keep) - 1)[code], counts[keep]
+
+
+def _joint(table, *groups):
+    """The nonzero cells of the joint of variable groups over a table.
+
+    A table is (column, n, weights): `column(name)` gives (codes,
+    cardinality) over n rows, each row weighted by `weights` or by 1/n.
+    Returns the mass p of each cell, in lexicographic order, and
+    `margin(*i)`: the mass of groups i at each cell, summed over the cells
+    in that order.
+    """
+    column, n, weights = table
+    codes = [_code([column(v) for v in g], n) for g in groups]
+    cell, mass = _cells(codes, n, weights)
+    p = mass if weights is not None else mass / n
+
+    def margin(*idx):
+        at = np.empty(len(p), dtype=np.int64)
+        at[cell] = _code([codes[i] for i in idx], n)[0]
+        return np.bincount(at, weights=p)[at]
+
+    return p, margin
+
+
+def _bits(terms: np.ndarray) -> float:
+    return max(clip_zero(float(np.sum(terms))), 0.0)
+
+
+def _entropy(table, vars) -> float:
+    p, _ = _joint(table, _as_vars(vars))
+    return _bits(-(p * np.log2(p)))
+
+
+def _conditional_entropy(table, target, given) -> float:
+    t, g = _check_disjoint(target, given)
+    if not g:
+        return _entropy(table, t)
+    p, margin = _joint(table, t, g)
+    return _bits(p * np.log2(margin(1) / p))
+
+
+def _mutual_information(table, x, y) -> float:
+    p, margin = _joint(table, *_check_disjoint(x, y))
+    return _bits(p * np.log2(p / (margin(0) * margin(1))))
+
+
+def _conditional_mutual_information(table, x, y, z) -> float:
+    xs, ys, zs = _check_disjoint(x, y, z)
+    if not zs:
+        return _mutual_information(table, xs, ys)
+    p, margin = _joint(table, xs, ys, zs)
+    return _bits(p * np.log2(p * margin(2) / (margin(0, 2) * margin(1, 2))))
+
+
+def _dist_table(dist: JointDistribution):
+    live = [(s, p) for s, p in dist.mass.items() if p > 0.0]
+    states = np.array([s for s, _ in live], dtype=np.int64)
+
+    def column(v):
+        i = dist.index(v)
+        return states[:, i], dist.cardinalities[i]
+
+    return column, len(live), np.array([p for _, p in live])
 
 
 def entropy(dist: JointDistribution, vars) -> float:
     """H(vars): -sum p log2 p over the marginal; 0*log 0 := 0."""
-    vs = _as_vars(vars)
-    if not vs:
-        raise ValueError("entropy needs a nonempty variable set")
-    pmf = dist.marginal_mass(vs)
-    h = -sum(p * math.log2(p) for p in pmf.values() if p > 0.0)
-    return max(clip_zero(h), 0.0)
+    return _entropy(_dist_table(dist), vars)
 
 
 def conditional_entropy(dist: JointDistribution, target, given) -> float:
-    """H(target | given) = sum_g p(g) H(target | given=g)."""
-    t = _as_vars(target)
-    g = _as_vars(given)
-    if not t:
-        raise ValueError("conditional_entropy needs a nonempty target")
-    _check_disjoint(t, g)
-    if not g:
-        return entropy(dist, t)
-    joint = dist.marginal_mass(t + g)
-    pg: dict[tuple, float] = {}
-    for state, p in joint.items():
-        key = state[len(t):]
-        pg[key] = pg.get(key, 0.0) + p
-    h = 0.0
-    for state, p in joint.items():
-        if p > 0.0:
-            h += p * math.log2(pg[state[len(t):]] / p)
-    return max(clip_zero(h), 0.0)
+    """H(target | given) = sum p(t,g) log2( p(g) / p(t,g) )."""
+    return _conditional_entropy(_dist_table(dist), target, given)
 
 
 def mutual_information(dist: JointDistribution, x, y) -> float:
     """I(X;Y) = sum p(x,y) log2( p(x,y) / (p(x) p(y)) ); symmetric, >= 0."""
-    xs = _as_vars(x)
-    ys = _as_vars(y)
-    if not xs or not ys:
-        raise ValueError("mutual_information needs nonempty variable sets")
-    _check_disjoint(xs, ys)
-    joint = dist.marginal_mass(xs + ys)
-    px: dict[tuple, float] = {}
-    py: dict[tuple, float] = {}
-    for state, p in joint.items():
-        kx, ky = state[: len(xs)], state[len(xs):]
-        px[kx] = px.get(kx, 0.0) + p
-        py[ky] = py.get(ky, 0.0) + p
-    mi = 0.0
-    for state, p in joint.items():
-        if p > 0.0:
-            kx, ky = state[: len(xs)], state[len(xs):]
-            mi += p * math.log2(p / (px[kx] * py[ky]))
-    return max(clip_zero(mi), 0.0)
+    return _mutual_information(_dist_table(dist), x, y)
 
 
 def conditional_mutual_information(dist: JointDistribution, x, y, z) -> float:
-    """I(X;Y|Z) = sum_z p(z) I(X;Y | Z=z); empty Z reduces to I(X;Y)."""
-    xs = _as_vars(x)
-    ys = _as_vars(y)
-    zs = _as_vars(z)
-    _check_disjoint(xs, ys, zs)
-    if not zs:
-        return mutual_information(dist, xs, ys)
-    if not xs or not ys:
-        raise ValueError("conditional_mutual_information needs nonempty X and Y")
-    joint = dist.marginal_mass(xs + ys + zs)
-    nx, ny = len(xs), len(ys)
-    pz: dict[tuple, float] = {}
-    pxz: dict[tuple, float] = {}
-    pyz: dict[tuple, float] = {}
-    for state, p in joint.items():
-        kz = state[nx + ny:]
-        pz[kz] = pz.get(kz, 0.0) + p
-        kxz = state[:nx] + kz
-        pxz[kxz] = pxz.get(kxz, 0.0) + p
-        kyz = state[nx:nx + ny] + kz
-        pyz[kyz] = pyz.get(kyz, 0.0) + p
-    cmi = 0.0
-    for state, p in joint.items():
-        if p > 0.0:
-            kz = state[nx + ny:]
-            kxz = state[:nx] + kz
-            kyz = state[nx:nx + ny] + kz
-            cmi += p * math.log2(p * pz[kz] / (pxz[kxz] * pyz[kyz]))
-    return max(clip_zero(cmi), 0.0)
+    """I(X;Y|Z) = sum p(x,y,z) log2( p(x,y,z) p(z) / (p(x,z) p(y,z)) ).
+
+    Empty Z reduces to I(X;Y).
+    """
+    return _conditional_mutual_information(_dist_table(dist), x, y, z)
 
 
 def _conditional_interaction(dist, groups, cond) -> float:

@@ -29,10 +29,11 @@ class SelectionTrace:
     stop_reason: str               # "reached-k" | "threshold" | "exhausted"
     criterion: str
     meta: dict = field(default_factory=dict)
+    start: tuple[str, ...] = ()    # the set the search started from
 
     def replay(self) -> tuple[str, ...]:
-        """Re-derive the final selected set from the recorded steps."""
-        s: list[str] = []
+        """Re-derive the final selected set from `start` and the recorded steps."""
+        s = list(self.start)
         for step in self.steps:
             if step.direction == "add":
                 s.append(step.chosen)
@@ -144,7 +145,8 @@ def backward_eliminate(spec: CriterionSpec, ds: _d.Dataset, k: int) -> Selection
         steps.append(step)
         S.remove(step.chosen)
     return SelectionTrace(tuple(steps), tuple(S), "reached-k", spec.kind,
-                          meta={"strategy": "backward", "k": k, "tie_tolerance": TIE_TOL})
+                          meta={"strategy": "backward", "k": k, "tie_tolerance": TIE_TOL},
+                          start=ds.feature_names)
 
 
 def plus_l_take_away_r(spec: CriterionSpec, ds: _d.Dataset, l: int, r: int,
@@ -197,4 +199,5 @@ def plus_l_take_away_r(spec: CriterionSpec, ds: _d.Dataset, l: int, r: int,
             break
     return SelectionTrace(tuple(steps), tuple(S), stop, spec.kind,
                           meta={"strategy": "plus-l-take-away-r", "l": l, "r": r,
-                                "k": k, "tie_tolerance": TIE_TOL})
+                                "k": k, "tie_tolerance": TIE_TOL},
+                          start=() if growing else ds.feature_names)

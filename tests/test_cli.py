@@ -174,3 +174,11 @@ class TestInfo:
         doc = json.loads(capsys.readouterr().out)
         assert doc["class_relevance"]["x1"] == pytest.approx(0.311278124459,
                                                              abs=1e-9)
+
+    def test_report_ignores_thread_env(self, ex1_csv, tmp_path, monkeypatch):
+        args = ["info", ex1_csv, "--target", "C", "--quantizer", "pass-through"]
+        monkeypatch.delenv("MISELECT_THREADS", raising=False)
+        run(args + ["--out", str(tmp_path / "a.json")])
+        monkeypatch.setenv("MISELECT_THREADS", "4")
+        run(args + ["--out", str(tmp_path / "b.json")])
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()

@@ -194,3 +194,15 @@ class TestFastEstimators:
         from miselect import entropy as dist_entropy
         assert mdata.entropy(ds, ["C"]) == pytest.approx(
             dist_entropy(empirical_distribution(ds, ["C"]), "C"), abs=1e-12)
+
+
+class TestOverlapRejected:
+    def test_mi_overlap(self):
+        _, ds = example1()
+        with pytest.raises(ValueError, match="overlap"):
+            mdata.mutual_information(ds, ["x1"], ["x1"])
+
+    def test_cmi_condition_overlaps_x(self):
+        _, ds = example1()
+        with pytest.raises(ValueError, match="overlap"):
+            mdata.conditional_mutual_information(ds, ["x1", "x2"], ["C"], ["x2"])

@@ -117,6 +117,14 @@ class TestBackwardEliminate:
         trace = backward_eliminate(CriterionSpec("md"), ds, k=4)
         assert trace.steps == ()
         assert trace.selected == ds.feature_names
+        assert trace.replay() == ds.feature_names
+
+    def test_replay_starts_from_full_set(self):
+        _, ds = example1()
+        trace = backward_eliminate(CriterionSpec("md"), ds, k=2)
+        assert trace.start == ds.feature_names
+        assert trace.replay() == trace.selected
+        assert "start" not in trace.to_dict()
 
     def test_noise_column_removed_first(self):
         ds, roles = generate(SyntheticSpec(relevant=2, noise=1, exhaustive=True))
@@ -158,6 +166,19 @@ class TestPlusLTakeAwayR:
         assert set(trace.selected) & {"x1", "x4"}
         directions = [s.direction for s in trace.steps]
         assert "remove" in directions  # unlike pure forward traces
+
+    def test_shrinking_trace_replays(self):
+        ds, _ = generate(SyntheticSpec(relevant=2, xor_groups=1, noise=2,
+                                       exhaustive=True))
+        trace = plus_l_take_away_r(CriterionSpec("md"), ds, l=1, r=2, k=3)
+        assert trace.start == ds.feature_names
+        assert trace.replay() == trace.selected
+
+    def test_growing_trace_starts_empty(self):
+        _, ds = example1()
+        trace = plus_l_take_away_r(CriterionSpec("mim"), ds, l=2, r=1, k=2)
+        assert trace.start == ()
+        assert trace.replay() == trace.selected
 
     def test_forward_traces_never_remove(self):
         _, ds = example1()

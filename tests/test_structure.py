@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,21 @@ class TestMarkovBlanket:
         feats = np.array([[0, 0], [1, 1]])
         ds = Dataset(feats, np.array([0, 1]), (2, 2), 2, ("a", "b"), "C")
         assert find_minimal_markov_blankets(ds, "b") == [("a",)]
+
+    def test_memory_scales_with_n(self):
+        # the dense ca*cb*cz table would hold 5.8e7 cells here (0.43 GiB)
+        rng = np.random.default_rng(3)
+        n, m = 5000, 12
+        feats = rng.integers(0, 5, size=(n, m))
+        ds = Dataset(feats, (feats[:, 0] + feats[:, 1]) % 2, (5,) * m, 2,
+                     tuple(f"f{i}" for i in range(m)), "C")
+        tracemalloc.start()
+        try:
+            is_markov_blanket(ds, "f0", ["f1", "f2", "f3", "f4", "f5"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_eliminating_blanketed_feature_keeps_dmi(self):
         _, ds = example1()
