@@ -48,40 +48,66 @@ class ScoreBoard:
         return max(self.scores.values())
 
 
+def _pair_key(f: str, s: str) -> tuple[str, str]:
+    return (f, s) if f < s else (s, f)
+
+
 class PairCache:
-    """Memoized pairwise statistics against one dataset and target."""
+    """Memoized pairwise statistics against one dataset and target.
+
+    Each statistic is a row over the candidates being scored
+    (`candidates`, which `score_all` sets): the relevance I(f;C), and per
+    selected feature s, I(f;s), I(f;s|C), I(f;C|s), and the CMIFS chain
+    term I(f;s|s_1).  A lookup that misses fills the entries of its row
+    still missing, for every candidate, in one counting pass.  A value is
+    computed with the candidate as X, as the candidate's own lookup would;
+    symmetric pairs are stored under the sorted key and never recomputed
+    with the roles swapped.
+    """
 
     def __init__(self, ds: _d.Dataset):
         self.ds = ds
         self.target = ds.target_name
+        self.candidates: tuple[str, ...] = ()
         self._mi_c: dict[str, float] = {}          # I(f;C)
         self._mi: dict[tuple, float] = {}          # I(f;s)
         self._mi_given_c: dict[tuple, float] = {}  # I(f;s|C)
         self._cmi_c: dict[tuple, float] = {}       # I(f;C|s)
+        self._chain: dict[tuple, float] = {}       # I(f;s|s_1)
+
+    def _fill(self, store: dict, key, f: str, y, z=()) -> None:
+        """Store I(c;y|z) under key(c) for f and each candidate c missing."""
+        fixed = set(y) | set(z)
+        row = [f] + [c for c in self.candidates
+                     if c != f and c not in fixed and key(c) not in store]
+        for c, value in zip(row, _d.mutual_information_row(self.ds, row, y, z)):
+            store[key(c)] = value
 
     def relevance(self, f: str) -> float:
         if f not in self._mi_c:
-            self._mi_c[f] = _d.mutual_information(self.ds, [f], [self.target])
+            self._fill(self._mi_c, lambda c: c, f, [self.target])
         return self._mi_c[f]
 
     def pair_mi(self, f: str, s: str) -> float:
-        key = (f, s) if f < s else (s, f)
-        if key not in self._mi:
-            self._mi[key] = _d.mutual_information(self.ds, [f], [s])
-        return self._mi[key]
+        if _pair_key(f, s) not in self._mi:
+            self._fill(self._mi, lambda c: _pair_key(c, s), f, [s])
+        return self._mi[_pair_key(f, s)]
 
     def pair_mi_given_class(self, f: str, s: str) -> float:
-        key = (f, s) if f < s else (s, f)
-        if key not in self._mi_given_c:
-            self._mi_given_c[key] = _d.conditional_mutual_information(
-                self.ds, [f], [s], [self.target])
-        return self._mi_given_c[key]
+        if _pair_key(f, s) not in self._mi_given_c:
+            self._fill(self._mi_given_c, lambda c: _pair_key(c, s), f, [s], [self.target])
+        return self._mi_given_c[_pair_key(f, s)]
 
     def class_mi_given(self, f: str, s: str) -> float:
         if (f, s) not in self._cmi_c:
-            self._cmi_c[(f, s)] = _d.conditional_mutual_information(
-                self.ds, [f], [self.target], [s])
+            self._fill(self._cmi_c, lambda c: (c, s), f, [self.target], [s])
         return self._cmi_c[(f, s)]
+
+    def chain_mi(self, f: str, s: str, s1: str) -> float:
+        """I(f;s|s_1), the CMIFS chain term."""
+        if (f, s, s1) not in self._chain:
+            self._fill(self._chain, lambda c: (c, s, s1), f, [s], [s1])
+        return self._chain[(f, s, s1)]
 
     def interaction(self, f: str, s: str) -> float:
         # I(f;s;C) = I(f;s|C) - I(f;s)
@@ -105,15 +131,15 @@ def _score_with_terms(spec: CriterionSpec, f: str, S: tuple[str, ...],
         chosen = list(S) + [f]
         rest = [v for v in ds.feature_names if v not in chosen]
         joint = _d.mutual_information(ds, chosen, [target])
-        if rest:
-            _, support = _d.composite_view(ds, rest)
-            if support > ds.n / SPARSE_SUPPORT_FRACTION:
-                warnings.warn(
-                    f"MMD complement set {rest} has sparse support "
-                    f"({support} distinct tuples over {ds.n} samples); "
-                    "its plug-in MI estimate may be unreliable")
-            return joint - _d.mutual_information(ds, rest, [target]), {}
-        return joint, {}
+        if not rest:
+            return joint, {}
+        codes, support = _d.composite_view(ds, rest)
+        if support > ds.n / SPARSE_SUPPORT_FRACTION:
+            warnings.warn(
+                f"MMD complement set {rest} has sparse support "
+                f"({support} distinct tuples over {ds.n} samples); "
+                "its plug-in MI estimate may be unreliable")
+        return joint - _d.composite_mutual_information(ds, (codes, support), [target]), {}
 
     rel = cache.relevance(f)
     if not S:
@@ -143,7 +169,7 @@ def _score_with_terms(spec: CriterionSpec, f: str, S: tuple[str, ...],
         s1, st = S[0], S[-1]
         red = -cache.pair_mi(f, st)
         comp = cache.pair_mi_given_class(f, s1) + cache.pair_mi_given_class(f, st)
-        chain = -_d.conditional_mutual_information(ds, [f], [st], [s1])
+        chain = -cache.chain_mi(f, st, s1)
         score = rel + red + comp + chain
         return score, {"relevance": rel, "redundancy": red,
                        "complementarity": comp, "chain_correction": chain}
@@ -165,6 +191,7 @@ def score(spec: CriterionSpec, f: str, S, ds: _d.Dataset,
         raise ValueError(f"candidate {f!r} is already selected")
     if cache is None:
         cache = PairCache(ds)
+    cache.candidates = (f,)
     value, _ = _score_with_terms(spec, f, S, cache)
     return value
 
@@ -178,6 +205,7 @@ def score_all(spec: CriterionSpec, candidates, S, ds: _d.Dataset,
         raise ValueError("candidates and selected set overlap")
     if cache is None:
         cache = PairCache(ds)
+    cache.candidates = tuple(cand)
     board = ScoreBoard()
     for f in cand:
         value, terms = _score_with_terms(spec, f, S, cache)

@@ -28,11 +28,25 @@ class QuantizerSpec:
             raise ValueError("bins must be >= 2")
 
 
+def _code_dtype(cards) -> np.dtype:
+    """The narrowest signed integer dtype that holds every cardinality.
+
+    Signed, because uint64 codes promote to float64 against int64.
+    """
+    top = max(cards)
+    for dtype in (np.int8, np.int16, np.int32):
+        if top <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """n samples of m discrete-coded feature columns plus a class column.
 
-    Immutable after construction; the backing arrays are marked read-only.
+    Immutable after construction.  The codes are read-only copies in the
+    narrowest signed integer dtype that holds the cardinalities, the
+    features column-major, so reading one column is one contiguous read.
     """
 
     features: np.ndarray              # (n, m) integer codes
@@ -44,8 +58,8 @@ class Dataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        feats = np.ascontiguousarray(self.features, dtype=np.int64)
-        cls = np.ascontiguousarray(self.class_codes, dtype=np.int64)
+        feats = np.asarray(self.features, dtype=np.int64)
+        cls = np.asarray(self.class_codes, dtype=np.int64)
         if feats.ndim != 2 or cls.ndim != 1:
             raise ValueError("features must be 2-D and class_codes 1-D")
         n, m = feats.shape
@@ -63,6 +77,8 @@ class Dataset:
                 raise ValueError(f"codes out of range in column {self.feature_names[j]!r}")
         if cls.min() < 0 or cls.max() >= self.class_card:
             raise ValueError("class codes out of range")
+        feats = np.array(feats, dtype=_code_dtype(self.feature_cards), order="F")
+        cls = np.array(cls, dtype=_code_dtype([self.class_card]))
         feats.setflags(write=False)
         cls.setflags(write=False)
         object.__setattr__(self, "features", feats)
@@ -116,6 +132,19 @@ def quantize_column(values: np.ndarray, spec: QuantizerSpec) -> tuple[np.ndarray
     return _info._ranks(raw)
 
 
+# Tokens read as a missing value, not as a label, in a column whose other
+# tokens are numbers (compared case-insensitively).
+MISSING_TOKENS = frozenset({"na", "n/a", "null", "none"})
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def _encode_column(raw: list[str], name: str, spec: QuantizerSpec) -> tuple[np.ndarray, int]:
     stripped = [v.strip() for v in raw]
     if any(v == "" for v in stripped):
@@ -123,10 +152,16 @@ def _encode_column(raw: list[str], name: str, spec: QuantizerSpec) -> tuple[np.n
     try:
         numeric = np.array([float(v) for v in stripped])
     except ValueError:
+        words = sorted(v for v in set(stripped) if not _is_number(v))
+        if all(w.lower() in MISSING_TOKENS for w in words):
+            raise ValueError(f"missing value {words[0]!r} in numeric column {name!r}") from None
         # string column: deterministic lexicographic label encoding
         labels = sorted(set(stripped))
         table = {lab: i for i, lab in enumerate(labels)}
         return np.array([table[v] for v in stripped], dtype=np.int64), len(labels)
+    bad = np.flatnonzero(~np.isfinite(numeric))
+    if len(bad):
+        raise ValueError(f"non-finite value {stripped[bad[0]]!r} in column {name!r}")
     return quantize_column(numeric, spec)
 
 
@@ -136,9 +171,12 @@ def load_csv(path, target_name: str,
 
     Numeric feature columns are quantized per `quantizer`; string columns
     are label-encoded in lexicographic order.  The target column is never
-    binned (pass-through for numeric targets).
+    binned (pass-through for numeric targets).  A column of numbers with a
+    non-finite value (nan, inf) or a missing-value token (MISSING_TOKENS,
+    such as NA) is rejected.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops a byte-order mark, which would hide the first header
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -214,3 +252,32 @@ def conditional_mutual_information(ds: Dataset, x, y, z) -> float:
 def entropy(ds: Dataset, vars) -> float:
     """Plug-in H(vars) in bits."""
     return _info._entropy((ds.codes, ds.n, None), vars)
+
+
+def mutual_information_row(ds: Dataset, candidates, y, z=()) -> list[float]:
+    """Plug-in I(f;Y|Z) for each candidate column f, or I(f;Y) for empty Z.
+
+    Equal, bit for bit, to `conditional_mutual_information(ds, [f], y, z)`
+    for each f, but counts a block of candidates in one pass.
+    """
+    cands = list(candidates)
+    ys, zs = _info._check_disjoint(y, z)
+    if not ys:
+        raise ValueError("information measures need nonempty variable sets")
+    for f in cands:
+        _info._check_disjoint([f], ys, zs)
+    return _info._information_rows(ds.codes, ds.n, cands, ys, zs)
+
+
+def composite_mutual_information(ds: Dataset, view, y) -> float:
+    """Plug-in I(V;Y) of a composite view (codes, support) from `composite_view`.
+
+    Equal, bit for bit, to `mutual_information` over the view's columns:
+    the view's dense ranks order the cells as their mixed-radix code does.
+    """
+    view_key = object()  # names the view; equal to no column name
+
+    def column(v):
+        return view if v is view_key else ds.codes(v)
+
+    return _info._mutual_information((column, ds.n, None), [view_key], y)

@@ -95,6 +95,17 @@ def _bits(terms: np.ndarray) -> float:
     return max(clip_zero(float(np.sum(terms))), 0.0)
 
 
+# The ratio forms of I(X;Y) and I(X;Y|Z) over the cells of the joint of
+# groups X, Y (and Z), each term p log2 of a ratio of cell masses.
+
+def _mi_terms(p, margin) -> np.ndarray:
+    return p * np.log2(p / (margin(0) * margin(1)))
+
+
+def _cmi_terms(p, margin) -> np.ndarray:
+    return p * np.log2(p * margin(2) / (margin(0, 2) * margin(1, 2)))
+
+
 def _entropy(table, vars) -> float:
     p, _ = _joint(table, _as_vars(vars))
     return _bits(-(p * np.log2(p)))
@@ -109,16 +120,87 @@ def _conditional_entropy(table, target, given) -> float:
 
 
 def _mutual_information(table, x, y) -> float:
-    p, margin = _joint(table, *_check_disjoint(x, y))
-    return _bits(p * np.log2(p / (margin(0) * margin(1))))
+    return _bits(_mi_terms(*_joint(table, *_check_disjoint(x, y))))
 
 
 def _conditional_mutual_information(table, x, y, z) -> float:
     xs, ys, zs = _check_disjoint(x, y, z)
     if not zs:
         return _mutual_information(table, xs, ys)
-    p, margin = _joint(table, xs, ys, zs)
-    return _bits(p * np.log2(p * margin(2) / (margin(0, 2) * margin(1, 2))))
+    return _bits(_cmi_terms(*_joint(table, xs, ys, zs)))
+
+
+# Candidate columns counted together in one pass hold at most this many
+# row codes, so a block's transient int64 arrays stay near 8 MiB.
+BLOCK_CODES = 1 << 20
+
+
+def _joint_rows(block, cards, fixed, n):
+    """The nonzero cells of the joint of (f, *fixed) for each row f of `block`.
+
+    `block` is a (k, n) array of candidate codes with cardinalities
+    `cards`; `fixed` is the (codes, cardinality) code of each fixed group,
+    the same for every candidate.  One block-offset mixed-radix code counts
+    all k joints in one `np.bincount`, or by ranking when the block's radix
+    passes its number of codes.  Returns p, `margin` and the bounds of each
+    candidate's cells.  Within a candidate's bounds, p and `margin(*i)` are
+    what `_joint` gives for (f,) and the fixed groups: the same cells in
+    the same lexicographic order, the margins summed in the same order.
+    """
+    k = len(block)
+    g, radix = _code(fixed, n)
+    parts = []                    # the code of each fixed group, by cell of g
+    for col, card in fixed:
+        part = np.zeros(radix, dtype=np.int64)
+        part[g] = col
+        parts.append((part, card))
+    cards = list(cards)
+    for i, card in enumerate(cards):
+        if card > n:
+            block[i], cards[i] = _ranks(block[i])
+    width = np.array(cards, dtype=np.int64) * radix
+    start = np.cumsum(width) - width
+    code = np.multiply(block, radix, dtype=np.int64)
+    code += g
+    code += start[:, None]
+    if int(width.sum()) > code.size:
+        cells, counts = np.unique(code, return_counts=True)
+    else:
+        counts = np.bincount(code.ravel())
+        cells = np.flatnonzero(counts)
+        counts = counts[cells]
+    del code
+    p = counts / n
+    which = np.searchsorted(start, cells, side="right") - 1
+    local = cells - start[which]
+    value = local // radix
+    comps = [(value, max(cards))] + [(part[local - value * radix], card)
+                                     for part, card in parts]
+
+    def margin(*idx):
+        at = _code([(which, k)] + [comps[i] for i in idx], len(p))[0]
+        return np.bincount(at, weights=p)[at]
+
+    return p, margin, np.searchsorted(cells, np.append(start, width.sum()))
+
+
+def _information_rows(column, n, candidates, y, z=()) -> list[float]:
+    """I(f;Y|Z) for each candidate column f, or I(f;Y) when Z is empty.
+
+    Bit for bit what `_conditional_mutual_information` gives for X = (f,),
+    over blocks of candidates counted in one pass each.
+    """
+    fixed = [_code([column(v) for v in g], n) for g in (y, z) if g]
+    terms_of = _cmi_terms if len(fixed) == 2 else _mi_terms
+    per_block = max(1, BLOCK_CODES // n)
+    values = []
+    for i in range(0, len(candidates), per_block):
+        cols = [column(f) for f in candidates[i:i + per_block]]
+        block = np.stack([col for col, _ in cols])
+        p, margin, bounds = _joint_rows(block, [card for _, card in cols], fixed, n)
+        terms = terms_of(p, margin)
+        values += [_bits(terms[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    return values
 
 
 def _dist_table(dist: JointDistribution):

@@ -132,12 +132,23 @@ def find_minimal_markov_blankets(ds: _d.Dataset, f: str,
     return found
 
 
-def dmi(ds: _d.Dataset, S) -> float:
-    """Mutual-information deficit of S: I(F;C) - I(S;C); 0 iff S suffices."""
-    S = list(S)
-    full = _d.mutual_information(ds, list(ds.feature_names), [ds.target_name])
+def _full_mi(ds: _d.Dataset) -> float:
+    """I(F;C) over all features."""
+    return _d.mutual_information(ds, list(ds.feature_names), [ds.target_name])
+
+
+def _default_lagrange(ds: _d.Dataset, full: float, eps: float) -> float:
+    return ds.m / full if full > eps else 1.0
+
+
+def _dmi(ds: _d.Dataset, S, full: float) -> float:
     part = _d.mutual_information(ds, S, [ds.target_name]) if S else 0.0
     return max(clip_zero(full - part), 0.0)
+
+
+def dmi(ds: _d.Dataset, S) -> float:
+    """Mutual-information deficit of S: I(F;C) - I(S;C); 0 iff S suffices."""
+    return _dmi(ds, list(S), _full_mi(ds))
 
 
 def minimal_sufficient_subsets(ds: _d.Dataset, eps: float = EXACT_EPS,
@@ -149,11 +160,16 @@ def minimal_sufficient_subsets(ds: _d.Dataset, eps: float = EXACT_EPS,
     insufficient one.
     """
     _check_size(ds)
+    full = _full_mi(ds)
+    if lagrange is None:
+        lagrange = _default_lagrange(ds, full, eps)
+    return _minimal_sufficient_subsets(ds, eps, lagrange, full)
+
+
+def _minimal_sufficient_subsets(ds: _d.Dataset, eps: float, lagrange: float,
+                                full: float) -> list[SufficientSubset]:
     names = list(ds.feature_names)
     target = [ds.target_name]
-    full = _d.mutual_information(ds, names, target)
-    if lagrange is None:
-        lagrange = ds.m / full if full > eps else 1.0
     results: list[SufficientSubset] = []
     for size in range(ds.m + 1):
         for S in combinations(names, size):
@@ -180,15 +196,14 @@ def analyze(ds: _d.Dataset, eps: float = EXACT_EPS,
     relevance = {f: classify_relevance(ds, f, eps) for f in ds.feature_names}
     blankets = {f: tuple(find_minimal_markov_blankets(ds, f, eps))
                 for f in ds.feature_names}
-    suff = minimal_sufficient_subsets(ds, eps, lagrange)
+    full = _full_mi(ds)
     if lagrange is None:
-        full = _d.mutual_information(ds, list(ds.feature_names), [ds.target_name])
-        lagrange = ds.m / full if full > eps else 1.0
+        lagrange = _default_lagrange(ds, full, eps)
     return StructureReport(
         relevance=relevance,
         markov_blankets=blankets,
-        sufficient_subsets=tuple(suff),
-        dmi_per_feature={f: dmi(ds, [f]) for f in ds.feature_names},
+        sufficient_subsets=tuple(_minimal_sufficient_subsets(ds, eps, lagrange, full)),
+        dmi_per_feature={f: _dmi(ds, [f], full) for f in ds.feature_names},
         epsilon=eps,
         lagrange_multiplier=lagrange,
     )

@@ -182,3 +182,27 @@ class TestInfo:
         monkeypatch.setenv("MISELECT_THREADS", "4")
         run(args + ["--out", str(tmp_path / "b.json")])
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+class TestBadTokens:
+    @pytest.mark.parametrize("quantizer", ["equal-width", "equal-frequency"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NA"])
+    def test_numeric_column_with_token_exit_4(self, tmp_path, capsys, token, quantizer):
+        data = tmp_path / "bad.csv"
+        data.write_text(f"a,b,C\n1.0,0.5,0\n2.0,1.5,1\n{token},2.5,0\n3.0,0.1,1\n")
+        rc = run(["bounds", str(data), "--target", "C", "--quantizer", quantizer,
+                  "--bins", "2", "--out", str(tmp_path / "out.json")])
+        assert rc == 4
+        assert f"'{token}'" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_byte_order_mark_before_target_header(self, tmp_path):
+        data = tmp_path / "bom.csv"
+        data.write_bytes(b"\xef\xbb\xbf" + EX1_CSV.replace(
+            "x1,x2,x3,x4,C", "C,x1,x2,x3,x4").encode())
+        out = tmp_path / "info.json"
+        rc = run(["info", str(data), "--target", "C", "--quantizer", "pass-through",
+                  "--out", str(out)])
+        assert rc == 0
+        assert sorted(json.loads(out.read_text())["class_relevance"]) == [
+            "x1", "x2", "x3", "x4"]

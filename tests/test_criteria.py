@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from miselect import CriterionSpec, example1, score, score_all
+from miselect import CriterionSpec, example1, forward_select, score, score_all
 from miselect import data as mdata
+from miselect import info
+from miselect.criteria import PairCache
 
 from conftest import I_X1_C, MRMR_X4_GIVEN_X1, random_dataset
 
@@ -58,6 +60,23 @@ class TestScore:
         assert score(CriterionSpec("mmd"), "x2", ["x1"], ds) == pytest.approx(
             expected, **APPROX)
         assert expected == pytest.approx(0.0, **APPROX)
+
+    @pytest.mark.filterwarnings("ignore:MMD complement set")
+    def test_mmd_codes_the_complement_once_per_candidate(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        ds = random_dataset(rng, n=200, m=7)
+        rest_codes = []
+        code = info._code
+
+        def counting(cols, n):
+            if len(cols) == 4:  # the 4-column complement of S + [f]
+                rest_codes.append(n)
+            return code(cols, n)
+
+        monkeypatch.setattr(info, "_code", counting)
+        cand = ["f2", "f3", "f4"]
+        score_all(CriterionSpec("mmd"), cand, ["f0", "f1"], ds)
+        assert len(rest_codes) == len(cand)
 
     def test_mmd_warns_on_sparse_complement_support(self):
         rng = np.random.default_rng(0)
@@ -181,3 +200,53 @@ class TestOrderingInvariants:
         a = score_all(CriterionSpec("jmi"), ["x2", "x3", "x4"], ["x1"], ds)
         b = score_all(CriterionSpec("jmi"), ["x4", "x3", "x2"], ["x1"], ds)
         assert a.scores == pytest.approx(b.scores, abs=0)
+
+
+class TestPairCache:
+    def test_lookups_defined_on_the_class(self):
+        # the benchmark's tracer wraps these in vars(PairCache)
+        for name in ("relevance", "pair_mi", "pair_mi_given_class", "class_mi_given"):
+            assert callable(vars(PairCache)[name])
+
+    def test_rows_filled_in_one_pass_per_selected_feature(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        ds = random_dataset(rng, n=300, m=8)
+        calls = {"row": 0, "single": 0}
+        row, single = mdata.mutual_information_row, mdata.conditional_mutual_information
+
+        def count_row(*args):
+            calls["row"] += 1
+            return row(*args)
+
+        def count_single(*args):
+            calls["single"] += 1
+            return single(*args)
+
+        monkeypatch.setattr(mdata, "mutual_information_row", count_row)
+        monkeypatch.setattr(mdata, "conditional_mutual_information", count_single)
+        forward_select(CriterionSpec("jmi"), ds, k=4)
+        # the relevance vector, then I(f;s) and I(f;s|C) for three of the
+        # selected features (the fourth is never scored against)
+        assert calls == {"row": 1 + 2 * 3, "single": 0}
+        calls["row"] = 0
+        forward_select(CriterionSpec("cmifs"), ds, k=4)
+        # relevance; I(f;s1), I(f;s1|C); then per step I(f;st), I(f;st|C)
+        # and the chain term I(f;st|s1)
+        assert calls == {"row": 1 + 2 + 3 * 2, "single": 0}
+
+    def test_cached_pair_keeps_its_first_orientation(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        ds = random_dataset(rng, n=100, m=4)
+        cache = PairCache(ds)
+        score_all(CriterionSpec("mrmr"), ["f1", "f2", "f3"], ["f0"], ds, cache)
+        first = dict(cache._mi)
+        # f0 comes back as a candidate against f1: (f0, f1), cached with f1
+        # as X, is not recomputed with f0 as X; only missing pairs are filled
+        seen = []
+        row = mdata.mutual_information_row
+        monkeypatch.setattr(mdata, "mutual_information_row",
+                            lambda ds_, cands, y, z=(): seen.append((cands, y)) or row(
+                                ds_, cands, y, z))
+        score_all(CriterionSpec("mrmr"), ["f0", "f2", "f3"], ["f1"], ds, cache)
+        assert cache._mi[("f0", "f1")] == first[("f0", "f1")]
+        assert seen == [(["f0"], ["y"]), (["f2", "f3"], ["f1"])]

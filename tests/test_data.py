@@ -91,6 +91,33 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="missing value"):
             load_csv(p, "C")
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_value_rejected(self, tmp_path, token):
+        p = tmp_path / "nonfinite.csv"
+        p.write_text(f"a,b,C\n1.0,0.5,0\n{token},1.5,1\n2.0,2.5,0\n3.0,0.1,1\n")
+        with pytest.raises(ValueError, match="non-finite value .* in column 'a'"):
+            load_csv(p, "C", QuantizerSpec("equal-width", 2))
+
+    @pytest.mark.parametrize("token", ["NA", "na", "N/A", "null", "None"])
+    def test_missing_token_in_numeric_column_rejected(self, tmp_path, token):
+        p = tmp_path / "na.csv"
+        p.write_text(f"a,C\n1,0\n10,1\n{token},0\n2,1\n")
+        with pytest.raises(ValueError, match=f"missing value '{token}' in numeric column 'a'"):
+            load_csv(p, "C")
+
+    def test_missing_token_in_string_column_is_a_label(self, tmp_path):
+        p = tmp_path / "labels.csv"
+        p.write_text("a,C\nred,0\nNA,1\nblue,0\n")
+        ds = load_csv(p, "C")
+        assert list(ds.features[:, 0]) == [2, 0, 1]
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_text("C,x1\n0,0\n1,1\n1,0\n", encoding="utf-8-sig")
+        ds = load_csv(p, "C", QuantizerSpec("pass-through"))
+        assert ds.target_name == "C" and ds.feature_names == ("x1",)
+        assert list(ds.class_codes) == [0, 1, 1]
+
     def test_string_column_lexicographic(self, tmp_path):
         p = tmp_path / "str.csv"
         p.write_text("color,C\nred,0\nblue,1\ngreen,0\nred,1\n")
@@ -117,6 +144,28 @@ class TestDataset:
     def test_codes_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             Dataset(np.array([[3]]), np.array([0]), (2,), 2, ("a",), "C")
+
+    def test_codes_narrow_column_major_read_only(self):
+        rng = np.random.default_rng(1)
+        feats = rng.integers(0, 5, size=(10_000, 100))
+        cls = rng.integers(0, 2, size=10_000)
+        ds = Dataset(feats, cls, (5,) * 100, 2, tuple(f"f{j}" for j in range(100)), "y")
+        assert ds.features.shape == (10_000, 100)
+        assert ds.features.flags.f_contiguous
+        assert ds.features.dtype == np.int8 and ds.class_codes.dtype == np.int8
+        assert ds.features.nbytes == 1_000_000
+        assert not ds.features.flags.writeable and not ds.class_codes.flags.writeable
+        assert np.array_equal(ds.features, feats) and np.array_equal(ds.class_codes, cls)
+        assert ds.codes("f3")[0].flags.c_contiguous
+        assert feats.flags.writeable  # the caller's array is copied, not frozen
+
+    @pytest.mark.parametrize("card, dtype", [
+        (127, np.int8), (128, np.int16), (2**15, np.int32), (2**31, np.int64),
+        (2**60, np.int64)])
+    def test_narrowest_signed_dtype_holding_cardinality(self, card, dtype):
+        ds = Dataset(np.array([[0, 1], [1, 0]]), np.array([0, 1]), (2, card), card,
+                     ("a", "b"), "C")
+        assert ds.features.dtype == dtype and ds.class_codes.dtype == dtype
 
 
 class TestEmpiricalDistribution:

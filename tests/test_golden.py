@@ -66,6 +66,18 @@ def _library_traces():
         "trace-backward-md-gen.json": backward_eliminate(CriterionSpec("md"), gen, k=4),
         "trace-plus1-minus2-md-truth.json": plus_l_take_away_r(
             CriterionSpec("md"), truth, l=1, r=2, k=3),
+        # the CMIFS chain term I(f;s_t|s_1), and removed features scored
+        # again as candidates against pair statistics cached earlier
+        "trace-forward-cmifs-real.json": forward_select(CriterionSpec("cmifs"), real, k=6),
+        "trace-forward-cmifs-gen.json": forward_select(CriterionSpec("cmifs"), gen, k=6),
+        "trace-plus2-minus1-jmi-real.json": plus_l_take_away_r(
+            CriterionSpec("jmi"), real, l=2, r=1, k=7),
+        "trace-plus2-minus1-mrmr-real.json": plus_l_take_away_r(
+            CriterionSpec("mrmr"), real, l=2, r=1, k=4),
+        "trace-plus2-minus1-icap-real.json": plus_l_take_away_r(
+            CriterionSpec("icap"), real, l=2, r=1, k=6),
+        "trace-plus2-minus1-icap-gen.json": plus_l_take_away_r(
+            CriterionSpec("icap"), gen, l=2, r=1, k=6),
     }
 
 

@@ -109,3 +109,51 @@ def test_kernel_matches_loop_reference(case):
     ds, x, y, z = case
     assert mdata.conditional_mutual_information(ds, x, y, z) == pytest.approx(
         max(_loop_cmi(ds, x, y, z), 0.0), abs=1e-12)
+
+
+@st.composite
+def rows(draw):
+    """A dataset, fixed groups Y and Z (Z maybe empty), candidates from the
+    other columns, and a block size that splits them into one or more blocks."""
+    ds = draw(datasets())
+    names = draw(st.permutations(list(ds.feature_names) + [ds.target_name]))
+    a = draw(st.integers(1, min(2, len(names) - 1)))
+    b = draw(st.integers(a, min(a + 2, len(names) - 1)))
+    cands = names[b:]
+    block = draw(st.sampled_from([1, ds.n, 2 * ds.n, info.BLOCK_CODES]))
+    return ds, cands, names[:a], names[a:b], block
+
+
+@SETTINGS
+@given(rows())
+def test_rows_equal_per_call_measures(case):
+    """Each batched value is the per-call I(f;Y|Z) bit for bit, across
+    blocks holding candidates of mixed cardinalities, some past n."""
+    ds, cands, y, z, block = case
+    saved = info.BLOCK_CODES
+    info.BLOCK_CODES = block
+    try:
+        got = mdata.mutual_information_row(ds, cands, y, z)
+    finally:
+        info.BLOCK_CODES = saved
+    assert got == [mdata.conditional_mutual_information(ds, [f], y, z) for f in cands]
+
+
+@pytest.mark.parametrize("block", [1, 3 * 4000, info.BLOCK_CODES])
+def test_rows_equal_per_call_measures_on_larger_data(block, monkeypatch):
+    """I(f;C), I(f;s), I(f;s|C), I(f;C|s) and I(f;s_t|s_1) over every
+    candidate of a larger dataset with mixed cardinalities, compared with ==."""
+    monkeypatch.setattr(info, "BLOCK_CODES", block)
+    rng = np.random.default_rng(5)
+    n, cards = 4000, (2, 3, 5, 7, 13, 300, 5000, 2, 5, 5, 4)
+    cols = [rng.integers(0, min(c, n), size=n) for c in cards]
+    cols[1] = (cols[0] + rng.integers(0, 2, size=n)) % 3   # dependent pairs
+    cols[8] = cols[2] // 2 + rng.integers(0, 3, size=n)
+    cls = (cols[0] ^ (cols[2] > 2) ^ (rng.random(n) < 0.1)).astype(np.int64)
+    ds = Dataset(np.column_stack(cols), cls, cards, 2,
+                 tuple(f"f{j}" for j in range(len(cards))), "y")
+    c, s, s1 = ds.target_name, "f2", "f0"
+    cands = [f for f in ds.feature_names if f not in (s, s1)]
+    for y, z in (([c], []), ([s], []), ([s], [c]), ([c], [s]), ([s], [s1])):
+        want = [mdata.conditional_mutual_information(ds, [f], y, z) for f in cands]
+        assert mdata.mutual_information_row(ds, cands, y, z) == want, (y, z)

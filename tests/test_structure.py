@@ -15,6 +15,7 @@ from miselect import (
     is_markov_blanket,
     minimal_sufficient_subsets,
 )
+from miselect import data as mdata
 from miselect.structure import IRRELEVANT, STRONGLY_RELEVANT, WEAKLY_RELEVANT
 
 from conftest import H_C, I_X1_C
@@ -185,6 +186,21 @@ class TestAnalyze:
         assert report.markov_blankets["x4"] == (("x1",),)
         assert [s.features for s in report.sufficient_subsets] == \
             [("x1", "x2", "x3"), ("x2", "x3", "x4")]
+
+    def test_full_set_mi_computed_once(self, ex1_with_noise, monkeypatch):
+        full = []
+        mi = mdata.mutual_information
+
+        def counting(ds, x, y):
+            if list(x) == list(ds.feature_names):
+                full.append(tuple(x))
+            return mi(ds, x, y)
+
+        monkeypatch.setattr(mdata, "mutual_information", counting)
+        report = analyze(ex1_with_noise)
+        assert len(full) == 1
+        assert report.dmi_per_feature == {f: dmi(ex1_with_noise, [f])
+                                          for f in ex1_with_noise.feature_names}
 
     def test_report_serializes(self, ex1_with_noise):
         doc = analyze(ex1_with_noise).to_dict()
