@@ -78,6 +78,14 @@ def _library_traces():
             CriterionSpec("icap"), real, l=2, r=1, k=6),
         "trace-plus2-minus1-icap-gen.json": plus_l_take_away_r(
             CriterionSpec("icap"), gen, l=2, r=1, k=6),
+        # joint criteria whose composites of S\f, S+f and the complement
+        # have more cells than real.csv has rows; the plus-1-minus-2 run
+        # also removes from a set of one feature
+        "trace-backward-md-real.json": backward_eliminate(CriterionSpec("md"), real, k=1),
+        "trace-forward-md-real.json": forward_select(CriterionSpec("md"), real, k=6),
+        "trace-forward-mmd-real.json": forward_select(CriterionSpec("mmd"), real, k=4),
+        "trace-plus1-minus2-md-real.json": plus_l_take_away_r(
+            CriterionSpec("md"), real, l=1, r=2, k=1),
     }
 
 
