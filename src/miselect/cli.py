@@ -138,11 +138,12 @@ def _cmd_gen(args) -> int:
 def _cmd_info(args) -> int:
     ds = _load(args)
     names = list(ds.feature_names)
-    relevance = {f: _d.mutual_information(ds, [f], [ds.target_name]) for f in names}
-    matrix = {}
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            matrix[f"{a}|{b}"] = _d.mutual_information(ds, [a], [b])
+    # by rows over the candidates a, each the same value as I(a;b) on its own
+    relevance = dict(zip(names, _d.mutual_information_row(ds, names, [ds.target_name])))
+    by_b = {b: _d.mutual_information_row(ds, names[:j], [b])
+            for j, b in enumerate(names) if j}
+    matrix = {f"{a}|{b}": by_b[b][i]
+              for i, a in enumerate(names) for b in names[i + 1:]}
     report = {"class_relevance": relevance, "pairwise_mi": matrix,
               "meta": _tool_meta()}
     _emit(report, args.out)

@@ -63,6 +63,10 @@ class PairCache:
     computed with the candidate as X, as the candidate's own lookup would;
     symmetric pairs are stored under the sorted key and never recomputed
     with the roles swapped.
+
+    It also holds the composites of one selected set S at a time, for the
+    joint criteria: S itself, and the features outside S with each
+    candidate left out in turn.
     """
 
     def __init__(self, ds: _d.Dataset):
@@ -74,6 +78,13 @@ class PairCache:
         self._mi_given_c: dict[tuple, float] = {}  # I(f;s|C)
         self._cmi_c: dict[tuple, float] = {}       # I(f;C|s)
         self._chain: dict[tuple, float] = {}       # I(f;s|s_1)
+        self._S: tuple[str, ...] = ()
+        self._selected: _d.View | None = None      # the View of S
+        self._rest: dict[str, _d.View | None] | None = None
+
+    def _at(self, S: tuple[str, ...]) -> None:
+        if S != self._S:
+            self._S, self._selected, self._rest = S, None, None
 
     def _fill(self, store: dict, key, f: str, y, z=()) -> None:
         """Store I(c;y|z) under key(c) for f and each candidate c missing."""
@@ -109,6 +120,25 @@ class PairCache:
             self._fill(self._chain, lambda c: (c, s, s1), f, [s], [s1])
         return self._chain[(f, s, s1)]
 
+    def joint(self, S: tuple[str, ...], f: str) -> list:
+        """S + [f] as a variable group, S as one View coded once per S."""
+        if not S:
+            return [f]
+        self._at(S)
+        if self._selected is None:
+            self._selected = _d.View(*_d.composite_view(self.ds, S))
+        return [self._selected, f]
+
+    def rest(self, S: tuple[str, ...], f: str) -> _d.View | None:
+        """The View of the features outside S + [f], in feature order, or
+        None when there are none.  Built for every f outside S at once."""
+        self._at(S)
+        if self._rest is None:
+            outside = [v for v in self.ds.feature_names if v not in S]
+            views = _d.leave_one_out_views(self.ds, outside) if len(outside) > 1 else [None]
+            self._rest = dict(zip(outside, views))
+        return self._rest[f]
+
     def interaction(self, f: str, s: str) -> float:
         # I(f;s;C) = I(f;s|C) - I(f;s)
         return self.pair_mi_given_class(f, s) - self.pair_mi(f, s)
@@ -126,20 +156,19 @@ def _score_with_terms(spec: CriterionSpec, f: str, S: tuple[str, ...],
     kind = spec.kind
 
     if kind == "md":
-        return _d.mutual_information(ds, list(S) + [f], [target]), {}
+        return _d.mutual_information(ds, cache.joint(S, f), [target]), {}
     if kind == "mmd":
-        chosen = list(S) + [f]
-        rest = [v for v in ds.feature_names if v not in chosen]
-        joint = _d.mutual_information(ds, chosen, [target])
-        if not rest:
+        joint = _d.mutual_information(ds, cache.joint(S, f), [target])
+        view = cache.rest(S, f)
+        if view is None:
             return joint, {}
-        codes, support = _d.composite_view(ds, rest)
-        if support > ds.n / SPARSE_SUPPORT_FRACTION:
+        if view.support > ds.n / SPARSE_SUPPORT_FRACTION:
+            rest = [v for v in ds.feature_names if v not in S and v != f]
             warnings.warn(
                 f"MMD complement set {rest} has sparse support "
-                f"({support} distinct tuples over {ds.n} samples); "
+                f"({view.support} distinct tuples over {ds.n} samples); "
                 "its plug-in MI estimate may be unreliable")
-        return joint - _d.composite_mutual_information(ds, (codes, support), [target]), {}
+        return joint - _d.mutual_information(ds, [view], [target]), {}
 
     rel = cache.relevance(f)
     if not S:

@@ -145,24 +145,32 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def _encode_column(raw: list[str], name: str, spec: QuantizerSpec) -> tuple[np.ndarray, int]:
-    stripped = [v.strip() for v in raw]
-    if any(v == "" for v in stripped):
-        raise ValueError(f"missing value in column {name!r}")
+def _encode_column(raw: tuple[str, ...], name: str, spec: QuantizerSpec) -> tuple[np.ndarray, int]:
     try:
-        numeric = np.array([float(v) for v in stripped])
+        # one pass with float() semantics: surrounding whitespace, digit
+        # separators and non-ASCII digits parse as they do there
+        numeric = np.array(raw, dtype=np.float64)
     except ValueError:
-        words = sorted(v for v in set(stripped) if not _is_number(v))
-        if all(w.lower() in MISSING_TOKENS for w in words):
-            raise ValueError(f"missing value {words[0]!r} in numeric column {name!r}") from None
-        # string column: deterministic lexicographic label encoding
-        labels = sorted(set(stripped))
-        table = {lab: i for i, lab in enumerate(labels)}
-        return np.array([table[v] for v in stripped], dtype=np.int64), len(labels)
+        return _encode_tokens(raw, name)
     bad = np.flatnonzero(~np.isfinite(numeric))
     if len(bad):
-        raise ValueError(f"non-finite value {stripped[bad[0]]!r} in column {name!r}")
+        raise ValueError(f"non-finite value {raw[bad[0]].strip()!r} in column {name!r}")
     return quantize_column(numeric, spec)
+
+
+def _encode_tokens(raw: tuple[str, ...], name: str) -> tuple[np.ndarray, int]:
+    """Label codes of a column that does not parse as numbers, or the error
+    of a numeric column with a missing value."""
+    stripped = [v.strip() for v in raw]
+    if "" in stripped:
+        raise ValueError(f"missing value in column {name!r}")
+    words = sorted(v for v in set(stripped) if not _is_number(v))
+    if all(w.lower() in MISSING_TOKENS for w in words):
+        raise ValueError(f"missing value {words[0]!r} in numeric column {name!r}")
+    # string column: deterministic lexicographic label encoding
+    labels = sorted(set(stripped))
+    table = {lab: i for i, lab in enumerate(labels)}
+    return np.array([table[v] for v in stripped], dtype=np.int64), len(labels)
 
 
 def load_csv(path, target_name: str,
@@ -173,17 +181,19 @@ def load_csv(path, target_name: str,
     are label-encoded in lexicographic order.  The target column is never
     binned (pass-through for numeric targets).  A column of numbers with a
     non-finite value (nan, inf) or a missing-value token (MISSING_TOKENS,
-    such as NA) is rejected.
+    such as NA) is rejected, and so is a line the csv module cannot parse.
     """
     # utf-8-sig drops a byte-order mark, which would hide the first header
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("empty CSV file") from None
-        header = [h.strip() for h in header]
-        rows = list(reader)
+            header = next(reader, None)
+            rows = list(reader)
+        except csv.Error as exc:
+            raise ValueError(f"CSV line {reader.line_num}: {exc}") from None
+    if header is None:
+        raise ValueError("empty CSV file")
+    header = [h.strip() for h in header]
     if target_name not in header:
         raise ValueError(f"target column {target_name!r} not found in header")
     if not rows:
@@ -192,7 +202,7 @@ def load_csv(path, target_name: str,
     for i, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"ragged row {i + 2}: expected {width} fields, got {len(row)}")
-    columns = {name: [row[j] for row in rows] for j, name in enumerate(header)}
+    columns = dict(zip(header, zip(*rows)))
     feat_names = [h for h in header if h != target_name]
     codes = []
     cards = []
@@ -223,6 +233,38 @@ def composite_view(ds: Dataset, vars) -> tuple[np.ndarray, int]:
     return cell, len(counts)
 
 
+@dataclass(frozen=True, eq=False)
+class View:
+    """A precomputed composite (codes, support), such as `composite_view` gives.
+
+    In a variable group of `mutual_information`, `conditional_mutual_information`
+    or `entropy`, a View stands for the columns it was built from, at its
+    place in the group: as a whole Z group, say, or as the leading columns
+    of an X group.  The value is then equal, bit for bit, to the one over
+    the columns, because the view's codes order the rows as the columns'
+    mixed-radix code does.  Views compare by identity, so one never equals
+    a column name.
+    """
+
+    codes: np.ndarray
+    support: int
+
+
+def leave_one_out_views(ds: Dataset, vars) -> list[View]:
+    """The View of `vars` without v, for each v of `vars` in turn.
+
+    Each holds what `composite_view` of those columns gives, equal by ==,
+    but the whole list is built from the prefix and suffix codes of `vars`
+    in O(len(vars)) two-column recodings, not one per column per view.
+    Needs at least two variables.
+    """
+    views = []
+    for code in _info._leave_one_out([ds.codes(v) for v in _as_vars(vars)], ds.n):
+        cell, counts = _info._cells([code], ds.n)
+        views.append(View(cell, len(counts)))
+    return views
+
+
 def empirical_distribution(ds: Dataset, vars) -> JointDistribution:
     """Plug-in joint distribution of the named columns (counts / n)."""
     cols = [ds.codes(v) for v in _as_vars(vars)]
@@ -239,19 +281,27 @@ def empirical_distribution(ds: Dataset, vars) -> JointDistribution:
     )
 
 
+def _table(ds: Dataset):
+    """The counting kernel's table over `ds`, reading a View as its codes."""
+    def column(v):
+        return (v.codes, v.support) if isinstance(v, View) else ds.codes(v)
+
+    return column, ds.n, None
+
+
 def mutual_information(ds: Dataset, x, y) -> float:
-    """Plug-in I(X;Y) in bits; X and Y are disjoint column sets."""
-    return _info._mutual_information((ds.codes, ds.n, None), x, y)
+    """Plug-in I(X;Y) in bits; X and Y are disjoint sets of columns or Views."""
+    return _info._mutual_information(_table(ds), x, y)
 
 
 def conditional_mutual_information(ds: Dataset, x, y, z) -> float:
     """Plug-in I(X;Y|Z) in bits; empty Z reduces to mutual_information."""
-    return _info._conditional_mutual_information((ds.codes, ds.n, None), x, y, z)
+    return _info._conditional_mutual_information(_table(ds), x, y, z)
 
 
 def entropy(ds: Dataset, vars) -> float:
     """Plug-in H(vars) in bits."""
-    return _info._entropy((ds.codes, ds.n, None), vars)
+    return _info._entropy(_table(ds), vars)
 
 
 def mutual_information_row(ds: Dataset, candidates, y, z=()) -> list[float]:
@@ -267,17 +317,3 @@ def mutual_information_row(ds: Dataset, candidates, y, z=()) -> list[float]:
     for f in cands:
         _info._check_disjoint([f], ys, zs)
     return _info._information_rows(ds.codes, ds.n, cands, ys, zs)
-
-
-def composite_mutual_information(ds: Dataset, view, y) -> float:
-    """Plug-in I(V;Y) of a composite view (codes, support) from `composite_view`.
-
-    Equal, bit for bit, to `mutual_information` over the view's columns:
-    the view's dense ranks order the cells as their mixed-radix code does.
-    """
-    view_key = object()  # names the view; equal to no column name
-
-    def column(v):
-        return view if v is view_key else ds.codes(v)
-
-    return _info._mutual_information((column, ds.n, None), [view_key], y)

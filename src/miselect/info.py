@@ -60,6 +60,28 @@ def _code(cols, n: int) -> tuple[np.ndarray, int]:
     return code, radix
 
 
+def _leave_one_out(cols, n: int) -> list[tuple[np.ndarray, int]]:
+    """The (code, radix) of `cols` with each column left out in turn.
+
+    Entry i orders the rows as `_code` of every column but the i-th does.
+    Each is the two-column code of a prefix and a suffix of `cols`, both
+    extended one column at a time, so the whole list takes O(len(cols))
+    two-column `_code` calls and O(len(cols) * n) memory.  Needs at least
+    two columns.
+    """
+    if len(cols) < 2:
+        raise ValueError("leaving one column out needs at least two columns")
+    suffix = [cols[-1]]
+    for col in reversed(cols[1:-1]):
+        suffix.append(_code([col, suffix[-1]], n))
+    suffix.reverse()              # suffix[i] codes cols[i + 1:]
+    out, prefix = [suffix[0]], cols[0]
+    for i in range(1, len(cols) - 1):
+        out.append(_code([prefix, suffix[i]], n))
+        prefix = _code([prefix, cols[i]], n)   # now codes cols[:i + 1]
+    return out + [prefix]
+
+
 def _cells(cols, n: int, weights=None) -> tuple[np.ndarray, np.ndarray]:
     """Each row's cell (its dense lexicographic rank in `cols`) and the count,
     or summed weight, of every cell.  Rows must have positive weight."""

@@ -72,12 +72,14 @@ def _pick_extremum(ds: _d.Dataset, scores: dict[str, float],
 
 
 def _removal_scores(ds: _d.Dataset, S: list[str]) -> dict[str, float]:
-    # criterion-agnostic backward objective: I(f;C | S\f)
-    return {
-        f: _d.conditional_mutual_information(
-            ds, [f], [ds.target_name], [s for s in S if s != f])
-        for f in S
-    }
+    # criterion-agnostic backward objective: I(f;C | S\f), with S\f as the
+    # leave-one-out views of S; a lone feature keeps an empty Z, as a
+    # constant view would change the last digits
+    target = [ds.target_name]
+    if len(S) == 1:
+        return {S[0]: _d.conditional_mutual_information(ds, S, target, [])}
+    return {f: _d.conditional_mutual_information(ds, [f], target, [view])
+            for f, view in zip(S, _d.leave_one_out_views(ds, S))}
 
 
 def _add_step(spec, ds, S, cache) -> tuple[Step | None, ScoreBoard | None]:

@@ -196,6 +196,14 @@ class TestBadTokens:
         assert f"'{token}'" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
 
+    def test_field_past_csv_limit_exit_4(self, tmp_path, capsys):
+        data = tmp_path / "huge.csv"
+        data.write_text("a,C\n1,0\n" + "7" * (csv.field_size_limit() + 1) + ",1\n")
+        rc = run(["info", str(data), "--target", "C", "--out", str(tmp_path / "out.json")])
+        assert rc == 4
+        assert "CSV line 3" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
     def test_byte_order_mark_before_target_header(self, tmp_path):
         data = tmp_path / "bom.csv"
         data.write_bytes(b"\xef\xbb\xbf" + EX1_CSV.replace(

@@ -62,21 +62,24 @@ class TestScore:
         assert expected == pytest.approx(0.0, **APPROX)
 
     @pytest.mark.filterwarnings("ignore:MMD complement set")
-    def test_mmd_codes_the_complement_once_per_candidate(self, monkeypatch):
+    def test_mmd_step_codes_no_complement_per_candidate(self, monkeypatch):
+        """One MMD step recodes no list of more than two columns, and makes
+        O(|complement|) two-column recodings in all."""
         rng = np.random.default_rng(2)
-        ds = random_dataset(rng, n=200, m=7)
-        rest_codes = []
+        ds = random_dataset(rng, n=200, m=9)
+        widths = []
         code = info._code
 
         def counting(cols, n):
-            if len(cols) == 4:  # the 4-column complement of S + [f]
-                rest_codes.append(n)
+            widths.append(len(cols))
             return code(cols, n)
 
         monkeypatch.setattr(info, "_code", counting)
-        cand = ["f2", "f3", "f4"]
-        score_all(CriterionSpec("mmd"), cand, ["f0", "f1"], ds)
-        assert len(rest_codes) == len(cand)
+        S = ["f0", "f1"]
+        rest = [f for f in ds.feature_names if f not in S]
+        score_all(CriterionSpec("mmd"), rest, S, ds)
+        assert max(widths) == 2
+        assert widths.count(2) <= 6 * len(rest)
 
     def test_mmd_warns_on_sparse_complement_support(self):
         rng = np.random.default_rng(0)

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,36 @@ class TestLoadCsv:
         # blue=0, green=1, red=2
         assert list(ds.features[:, j]) == [2, 0, 1, 2]
         assert ds.feature_cards[j] == 3
+
+    def test_numbers_parse_as_float_does(self, tmp_path):
+        """Whitespace around a number, digit separators and non-ASCII
+        digits read as numbers; only a column that fails to parse as a
+        whole is read token by token."""
+        p = tmp_path / "float.csv"
+        p.write_text("a,b,C\n 1 ,1_000,0\n\t2\u00a0,\u0662,1\n3,\u0663 ,0\n",
+                     encoding="utf-8")
+        ds = load_csv(p, "C", QuantizerSpec("pass-through"))
+        assert ds.feature_cards == (3, 3)
+        assert list(ds.features[:, 0]) == [0, 1, 2]
+        assert list(ds.features[:, 1]) == [2, 0, 1]
+
+    def test_non_finite_token_reported_stripped(self, tmp_path):
+        p = tmp_path / "nonfinite.csv"
+        p.write_text("a,C\n1,0\n  inf ,1\n2,0\n")
+        with pytest.raises(ValueError, match="non-finite value 'inf' in column 'a'"):
+            load_csv(p, "C")
+
+    def test_empty_reported_before_missing_token(self, tmp_path):
+        p = tmp_path / "gaps.csv"
+        p.write_text("a,C\n1,0\nNA,1\n ,0\n2,1\n")
+        with pytest.raises(ValueError, match="^missing value in column 'a'$"):
+            load_csv(p, "C")
+
+    def test_unparsable_line_names_the_line(self, tmp_path):
+        p = tmp_path / "huge.csv"
+        p.write_text("a,C\n1,0\n" + "x" * (csv.field_size_limit() + 1) + ",1\n")
+        with pytest.raises(ValueError, match="CSV line 3: field larger than field limit"):
+            load_csv(p, "C")
 
     def test_constant_column_cardinality_one(self, tmp_path):
         p = tmp_path / "const.csv"

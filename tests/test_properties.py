@@ -1,4 +1,5 @@
-"""Property tests for the information measures and the shared counting kernel."""
+"""Property tests for the information measures, the shared counting kernel,
+and the composites the joint criteria reuse within a search step."""
 
 import math
 from collections import Counter
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from miselect import Dataset, composite_view, empirical_distribution
+from miselect import CriterionSpec, Dataset, composite_view, empirical_distribution, score_all
 from miselect import data as mdata
-from miselect import info
+from miselect import info, search
 
 SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -157,3 +158,85 @@ def test_rows_equal_per_call_measures_on_larger_data(block, monkeypatch):
     for y, z in (([c], []), ([s], []), ([s], [c]), ([c], [s]), ([s], [s1])):
         want = [mdata.conditional_mutual_information(ds, [f], y, z) for f in cands]
         assert mdata.mutual_information_row(ds, cands, y, z) == want, (y, z)
+
+
+@st.composite
+def selections(draw):
+    """A dataset and an ordered selected set S of one or more features."""
+    ds = draw(datasets())
+    names = draw(st.permutations(list(ds.feature_names)))
+    return ds, names[:draw(st.integers(1, len(names)))]
+
+
+@SETTINGS
+@given(selections())
+def test_leave_one_out_views_equal_composite_views(case):
+    ds, S = case
+    if len(S) == 1:
+        with pytest.raises(ValueError, match="two columns"):
+            mdata.leave_one_out_views(ds, S)
+        return
+    views = mdata.leave_one_out_views(ds, S)
+    assert len(views) == len(S)
+    for f, view in zip(S, views):
+        codes, support = composite_view(ds, [v for v in S if v != f])
+        assert view.support == support
+        assert view.codes.tolist() == codes.tolist()
+
+
+@SETTINGS
+@given(selections())
+def test_removal_scores_equal_per_call_measures(case):
+    ds, S = case
+    c = [ds.target_name]
+    assert search._removal_scores(ds, S) == {
+        f: mdata.conditional_mutual_information(ds, [f], c, [v for v in S if v != f])
+        for f in S}
+
+
+def _mmd(ds, cands, joint):
+    """I(S,f;C) - I(F\\S\\f;C) for each candidate f, by per-call measures;
+    `cands` is every feature outside S."""
+    def rest_mi(f):
+        rest = [v for v in cands if v != f]
+        return mdata.mutual_information(ds, rest, [ds.target_name]) if rest else 0.0
+
+    return {f: joint[f] - rest_mi(f) for f in cands}
+
+
+@SETTINGS
+@given(selections())
+@pytest.mark.filterwarnings("ignore:MMD complement set")
+def test_joint_criteria_equal_per_call_measures(case):
+    """MD and MMD scores over one step, S coded once and the complement
+    left out one candidate at a time, equal the measures over the columns."""
+    ds, S = case
+    S = S[:-1]          # leave at least one candidate
+    cands = [f for f in ds.feature_names if f not in S]
+    c = [ds.target_name]
+    joint = {f: mdata.mutual_information(ds, S + [f], c) for f in cands}
+    assert score_all(CriterionSpec("md"), cands, S, ds).scores == joint
+    assert score_all(CriterionSpec("mmd"), cands, S, ds).scores == _mmd(ds, cands, joint)
+
+
+@pytest.mark.filterwarnings("ignore:MMD complement set")
+@pytest.mark.parametrize("size", [1, 2, 5, 9])
+def test_joint_scores_equal_per_call_measures_on_larger_data(size):
+    """Removal, MD and MMD scores, compared with ==, where S\\f, S + f and
+    the complement have more distinct tuples than the n=3000 rows."""
+    rng = np.random.default_rng(11)
+    n, cards = 3000, (2, 3, 5, 7, 13, 300, 5000, 2, 5, 4)
+    cols = [rng.integers(0, min(c, n), size=n) for c in cards]
+    cols[1] = (cols[0] + rng.integers(0, 2, size=n)) % 3
+    cls = (cols[0] ^ (cols[2] > 2) ^ (rng.random(n) < 0.1)).astype(np.int64)
+    ds = Dataset(np.column_stack(cols), cls, cards, 2,
+                 tuple(f"f{j}" for j in range(len(cards))), "y")
+    S = [f"f{j}" for j in rng.permutation(len(cards))[:size]]
+    c = [ds.target_name]
+    assert search._removal_scores(ds, S) == {
+        f: mdata.conditional_mutual_information(ds, [f], c, [v for v in S if v != f])
+        for f in S}
+    cands = [f for f in ds.feature_names if f not in S]
+    joint = {f: mdata.mutual_information(ds, S + [f], c) for f in cands}
+    assert score_all(CriterionSpec("md"), cands, S, ds).scores == joint
+    assert score_all(CriterionSpec("mmd"), cands, S, ds).scores == _mmd(ds, cands, joint)
