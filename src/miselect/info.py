@@ -63,8 +63,9 @@ def _code(cols, n: int) -> tuple[np.ndarray, int]:
 def _leave_one_out(cols, n: int) -> list[tuple[np.ndarray, int]]:
     """The (code, radix) of `cols` with each column left out in turn.
 
-    Entry i orders the rows as `_code` of every column but the i-th does.
-    Each is the two-column code of a prefix and a suffix of `cols`, both
+    Entry i orders the rows as `_code` of every column but the i-th does:
+    it is the two-column code of the columns before i and those after it,
+    or just one of the two at either end.  Prefixes and suffixes are each
     extended one column at a time, so the whole list takes O(len(cols))
     two-column `_code` calls and O(len(cols) * n) memory.  Needs at least
     two columns.
