@@ -10,7 +10,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import data as _d
+from . import info as _info
 
 KINDS = ("mim", "mifs", "mrmr", "jmi", "cife", "cmifs",
          "cmim", "cmim2", "icap", "md", "mmd")
@@ -59,10 +62,12 @@ class PairCache:
     (`candidates`, which `score_all` sets): the relevance I(f;C), and per
     selected feature s, I(f;s), I(f;s|C), I(f;C|s), and the CMIFS chain
     term I(f;s|s_1).  A lookup that misses fills the entries of its row
-    still missing, for every candidate, in one counting pass.  A value is
-    computed with the candidate as X, as the candidate's own lookup would;
-    symmetric pairs are stored under the sorted key and never recomputed
-    with the roles swapped.
+    still missing, for every candidate, in one counting pass; a miss of
+    I(f;s|C) also fills I(f;s), from the same counts with C summed out.
+    A value is computed with the candidate as X, as the candidate's own
+    lookup would; symmetric pairs are stored under the sorted key and
+    never recomputed with the roles swapped.  Rows are counted over bit
+    planes of the columns where that is cheaper, built once per column.
 
     It also holds the composites of one selected set S at a time, for the
     joint criteria: S itself, and the features outside S with each
@@ -78,6 +83,7 @@ class PairCache:
         self._mi_given_c: dict[tuple, float] = {}  # I(f;s|C)
         self._cmi_c: dict[tuple, float] = {}       # I(f;C|s)
         self._chain: dict[tuple, float] = {}       # I(f;s|s_1)
+        self._planes: dict[str, np.ndarray] = {}   # info._planes of a column
         self._S: tuple[str, ...] = ()
         self._selected: _d.View | None = None      # the View of S
         self._rest: dict[str, _d.View | None] | None = None
@@ -86,13 +92,24 @@ class PairCache:
         if S != self._S:
             self._S, self._selected, self._rest = S, None, None
 
-    def _fill(self, store: dict, key, f: str, y, z=()) -> None:
-        """Store I(c;y|z) under key(c) for f and each candidate c missing."""
+    def _plane(self, name: str) -> np.ndarray:
+        if name not in self._planes:
+            self._planes[name] = _info._planes(*self.ds.codes(name))
+        return self._planes[name]
+
+    def _rows(self, store: dict, key, f: str, y, z=()):
+        """f and each candidate c whose key(c) is missing from `store`, and
+        the joint of (c, y, z) counted for each of them."""
         fixed = set(y) | set(z)
         row = [f] + [c for c in self.candidates
                      if c != f and c not in fixed and key(c) not in store]
-        for c, value in zip(row, _d.mutual_information_row(self.ds, row, y, z)):
-            store[key(c)] = value
+        return row, _d._row_tables(self.ds, row, y, z, self._plane)
+
+    def _fill(self, store: dict, key, f: str, y, z=()) -> None:
+        """Store I(c;y|z) under key(c) for f and each candidate c missing."""
+        row, tables = self._rows(store, key, f, y, z)
+        values = [v for rows in tables for v in rows.values()]
+        store.update(zip(map(key, row), values))
 
     def relevance(self, f: str) -> float:
         if f not in self._mi_c:
@@ -106,7 +123,15 @@ class PairCache:
 
     def pair_mi_given_class(self, f: str, s: str) -> float:
         if _pair_key(f, s) not in self._mi_given_c:
-            self._fill(self._mi_given_c, lambda c: _pair_key(c, s), f, [s], [self.target])
+            row, tables = self._rows(self._mi_given_c, lambda c: _pair_key(c, s),
+                                     f, [s], [self.target])
+            given, plain = [], []
+            for rows in tables:
+                given += rows.values()
+                plain += rows.marginal().values()
+            for c, value, mi in zip(row, given, plain):
+                self._mi_given_c[_pair_key(c, s)] = value
+                self._mi.setdefault(_pair_key(c, s), mi)
         return self._mi_given_c[_pair_key(f, s)]
 
     def class_mi_given(self, f: str, s: str) -> float:
@@ -133,6 +158,10 @@ class PairCache:
         """The View of the features outside S + [f], in feature order, or
         None when there are none.  Built for every f outside S at once."""
         self._at(S)
+        if self._rest is None and self.candidates == (f,):
+            # a lone candidate needs its own complement, not every view
+            rest = [v for v in self.ds.feature_names if v not in S and v != f]
+            return _d.View(*_d.composite_view(self.ds, rest)) if rest else None
         if self._rest is None:
             outside = [v for v in self.ds.feature_names if v not in S]
             views = _d.leave_one_out_views(self.ds, outside) if len(outside) > 1 else [None]
@@ -183,21 +212,21 @@ def _score_with_terms(spec: CriterionSpec, f: str, S: tuple[str, ...],
         return rel + red, {"relevance": rel, "redundancy": red}
     if kind in ("jmi", "cife"):
         coeff = 1.0 / p if kind == "jmi" else 1.0
-        red = -coeff * sum(cache.pair_mi(f, s) for s in S)
         comp = coeff * sum(cache.pair_mi_given_class(f, s) for s in S)
+        red = -coeff * sum(cache.pair_mi(f, s) for s in S)
         return rel + red + comp, {"relevance": rel, "redundancy": red,
                                   "complementarity": comp}
     if kind == "cmifs":
         # below two selected features the full form degrades to its
         # natural truncations
         if p == 1:
-            red = -cache.pair_mi(f, S[0])
             comp = cache.pair_mi_given_class(f, S[0])
+            red = -cache.pair_mi(f, S[0])
             return rel + red + comp, {"relevance": rel, "redundancy": red,
                                       "complementarity": comp}
         s1, st = S[0], S[-1]
-        red = -cache.pair_mi(f, st)
         comp = cache.pair_mi_given_class(f, s1) + cache.pair_mi_given_class(f, st)
+        red = -cache.pair_mi(f, st)
         chain = -cache.chain_mi(f, st, s1)
         score = rel + red + comp + chain
         return score, {"relevance": rel, "redundancy": red,

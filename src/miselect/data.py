@@ -122,14 +122,14 @@ def quantize_column(values: np.ndarray, spec: QuantizerSpec) -> tuple[np.ndarray
     if spec.strategy == "equal-width":
         width = (hi - lo) / spec.bins
         raw = np.minimum((values - lo) // width, spec.bins - 1).astype(np.int64)
-        return _info._ranks(raw)
+        return _info._ranks(raw, spec.bins)
     # equal-frequency: thresholds at order statistics so that, for all-distinct
     # values, per-bin counts differ by at most 1
     order = np.sort(values)
     n = len(values)
     cuts = [order[int(np.ceil(n * i / spec.bins)) - 1] for i in range(1, spec.bins)]
     raw = np.searchsorted(np.asarray(cuts), values, side="left").astype(np.int64)
-    return _info._ranks(raw)
+    return _info._ranks(raw, spec.bins)
 
 
 # Tokens read as a missing value, not as a label, in a column whose other
@@ -304,16 +304,23 @@ def entropy(ds: Dataset, vars) -> float:
     return _info._entropy(_table(ds), vars)
 
 
-def mutual_information_row(ds: Dataset, candidates, y, z=()) -> list[float]:
-    """Plug-in I(f;Y|Z) for each candidate column f, or I(f;Y) for empty Z.
-
-    Equal, bit for bit, to `conditional_mutual_information(ds, [f], y, z)`
-    for each f, but counts a block of candidates in one pass.
-    """
+def _row_tables(ds: Dataset, candidates, y, z=(), planes=None):
+    """The joint of (f, Y, Z) for each candidate column f, counted a block
+    at a time (`info._row_tables`), after checking every candidate's groups
+    as the per-call measures do."""
     cands = list(candidates)
     ys, zs = _info._check_disjoint(y, z)
     if not ys:
         raise ValueError("information measures need nonempty variable sets")
     for f in cands:
         _info._check_disjoint([f], ys, zs)
-    return _info._information_rows(ds.codes, ds.n, cands, ys, zs)
+    return _info._row_tables(ds.codes, ds.n, cands, [g for g in (ys, zs) if g], planes)
+
+
+def mutual_information_row(ds: Dataset, candidates, y, z=()) -> list[float]:
+    """Plug-in I(f;Y|Z) for each candidate column f, or I(f;Y) for empty Z.
+
+    Equal, bit for bit, to `conditional_mutual_information(ds, [f], y, z)`
+    for each f, but counts a block of candidates in one pass.
+    """
+    return [v for rows in _row_tables(ds, candidates, y, z) for v in rows.values()]

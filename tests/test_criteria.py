@@ -81,6 +81,29 @@ class TestScore:
         assert max(widths) == 2
         assert widths.count(2) <= 6 * len(rest)
 
+    def test_lone_mmd_score_codes_its_complement_once(self, monkeypatch):
+        """`score` without a shared cache codes the complement of S + f as
+        one composite, not as the leave-one-out views of every candidate."""
+        rng = np.random.default_rng(2)
+        ds = random_dataset(rng, n=200, m=9)
+        widths = []
+        code = info._code
+
+        def counting(cols, n):
+            widths.append(len(cols))
+            return code(cols, n)
+
+        monkeypatch.setattr(info, "_code", counting)
+        S, f = ["f0", "f1"], "f2"
+        rest = [v for v in ds.feature_names if v not in S and v != f]
+        with pytest.warns(UserWarning, match="sparse support"):
+            value = score(CriterionSpec("mmd"), f, S, ds)
+        assert widths.count(len(rest)) == 1
+        assert widths.count(2) <= 6
+        monkeypatch.setattr(info, "_code", code)
+        assert value == (mdata.mutual_information(ds, S + [f], ["y"])
+                         - mdata.mutual_information(ds, rest, ["y"]))
+
     def test_mmd_warns_on_sparse_complement_support(self):
         rng = np.random.default_rng(0)
         ds = random_dataset(rng, n=30, m=6, card=4)
@@ -211,31 +234,51 @@ class TestPairCache:
         for name in ("relevance", "pair_mi", "pair_mi_given_class", "class_mi_given"):
             assert callable(vars(PairCache)[name])
 
-    def test_rows_filled_in_one_pass_per_selected_feature(self, monkeypatch):
+    @pytest.mark.parametrize("kind, passes", [
+        # the relevance row, then one row per selected feature scored
+        # against (the fourth is never scored against): JMI, CIFE and ICAP
+        # take I(f;s) from the (f, s, C) count of I(f;s|C)
+        ("mrmr", 1 + 3), ("jmi", 1 + 3), ("cife", 1 + 3), ("icap", 1 + 3),
+        ("cmim", 1 + 3),
+        # relevance; (f, s1, C); then per step (f, st, C) and the chain
+        # term I(f;st|s1)
+        ("cmifs", 1 + 1 + 2 * 2),
+    ])
+    @pytest.mark.parametrize("card", [2, 5])
+    def test_one_counting_pass_per_row(self, kind, passes, card, monkeypatch):
         rng = np.random.default_rng(6)
-        ds = random_dataset(rng, n=300, m=8)
-        calls = {"row": 0, "single": 0}
-        row, single = mdata.mutual_information_row, mdata.conditional_mutual_information
+        ds = random_dataset(rng, n=300, m=8, card=card)
+        calls = {"count": 0, "single": 0}
 
-        def count_row(*args):
-            calls["row"] += 1
-            return row(*args)
+        def counting(name, key):
+            real = getattr(info, name) if key == "count" else getattr(mdata, name)
 
-        def count_single(*args):
-            calls["single"] += 1
-            return single(*args)
+            def wrapper(*args):
+                calls[key] += 1
+                return real(*args)
+            return wrapper
 
-        monkeypatch.setattr(mdata, "mutual_information_row", count_row)
-        monkeypatch.setattr(mdata, "conditional_mutual_information", count_single)
-        forward_select(CriterionSpec("jmi"), ds, k=4)
-        # the relevance vector, then I(f;s) and I(f;s|C) for three of the
-        # selected features (the fourth is never scored against)
-        assert calls == {"row": 1 + 2 * 3, "single": 0}
-        calls["row"] = 0
-        forward_select(CriterionSpec("cmifs"), ds, k=4)
-        # relevance; I(f;s1), I(f;s1|C); then per step I(f;st), I(f;st|C)
-        # and the chain term I(f;st|s1)
-        assert calls == {"row": 1 + 2 + 3 * 2, "single": 0}
+        for name in ("_count_codes", "_count_planes"):
+            monkeypatch.setattr(info, name, counting(name, "count"))
+        for name in ("mutual_information", "conditional_mutual_information"):
+            monkeypatch.setattr(mdata, name, counting(name, "single"))
+        forward_select(CriterionSpec(kind), ds, k=4)
+        assert calls == {"count": passes, "single": 0}
+
+    def test_shared_count_keeps_cached_pairs(self):
+        """A miss of I(f;s|C) stores I(f;s) only where it is missing: a pair
+        cached with the other feature as X keeps that value."""
+        rng = np.random.default_rng(8)
+        ds = random_dataset(rng, n=100, m=4)
+        cache = PairCache(ds)
+        score_all(CriterionSpec("mrmr"), ["f1", "f2", "f3"], ["f0"], ds, cache)
+        first = dict(cache._mi)
+        score_all(CriterionSpec("jmi"), ["f0", "f2", "f3"], ["f1"], ds, cache)
+        assert cache._mi[("f0", "f1")] == first[("f0", "f1")]
+        for c in ("f2", "f3"):
+            assert cache._mi[("f1", c)] == mdata.mutual_information(ds, [c], ["f1"])
+            assert cache._mi_given_c[("f1", c)] == mdata.conditional_mutual_information(
+                ds, [c], ["f1"], ["y"])
 
     def test_cached_pair_keeps_its_first_orientation(self, monkeypatch):
         rng = np.random.default_rng(7)
@@ -246,10 +289,10 @@ class TestPairCache:
         # f0 comes back as a candidate against f1: (f0, f1), cached with f1
         # as X, is not recomputed with f0 as X; only missing pairs are filled
         seen = []
-        row = mdata.mutual_information_row
-        monkeypatch.setattr(mdata, "mutual_information_row",
-                            lambda ds_, cands, y, z=(): seen.append((cands, y)) or row(
-                                ds_, cands, y, z))
+        rows = mdata._row_tables
+        monkeypatch.setattr(mdata, "_row_tables",
+                            lambda ds_, cands, y, z=(), planes=None: seen.append((cands, y))
+                            or rows(ds_, cands, y, z, planes))
         score_all(CriterionSpec("mrmr"), ["f0", "f2", "f3"], ["f1"], ds, cache)
         assert cache._mi[("f0", "f1")] == first[("f0", "f1")]
         assert seen == [(["f0"], ["y"]), (["f2", "f3"], ["f1"])]

@@ -1,5 +1,6 @@
 """Property tests for the information measures, the shared counting kernel,
-and the composites the joint criteria reuse within a search step."""
+the pair cache's rows, and the composites the joint criteria reuse within a
+search step."""
 
 import math
 from collections import Counter
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from miselect import CriterionSpec, Dataset, composite_view, empirical_distribution, score_all
+from miselect import (CriterionSpec, Dataset, composite_view, empirical_distribution,
+                      forward_select, score_all)
 from miselect import data as mdata
 from miselect import info, search
+from miselect.criteria import PairCache
 
 SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -158,6 +161,127 @@ def test_rows_equal_per_call_measures_on_larger_data(block, monkeypatch):
     for y, z in (([c], []), ([s], []), ([s], [c]), ([c], [s]), ([s], [s1])):
         want = [mdata.conditional_mutual_information(ds, [f], y, z) for f in cands]
         assert mdata.mutual_information_row(ds, cands, y, z) == want, (y, z)
+
+
+@SETTINGS
+@given(st.data())
+def test_ranks_by_counting_equal_unique(data):
+    """Dense ranks of codes below a radix, on both sides of the 2n cap
+    where ranking switches from counting to sorting."""
+    n = data.draw(st.integers(1, 200))
+    radix = data.draw(st.integers(1, 4 * n))
+    code = np.array(data.draw(st.lists(st.integers(0, radix - 1), min_size=n, max_size=n)))
+    ranks, count = info._ranks(code, radix)
+    uniq, inverse = np.unique(code, return_inverse=True)
+    assert count == len(uniq)
+    assert np.array_equal(ranks, inverse)
+
+
+@st.composite
+def kernel_datasets(draw):
+    """Datasets of 1 to 300 rows, so fewer than the 64 rows of one plane
+    word and row counts that are no multiple of 64, with small
+    cardinalities, some of them 1, and some declared above the codes."""
+    n = draw(st.integers(1, 300))
+    m = draw(st.integers(2, 5))
+    cols, cards = [], []
+    for _ in range(m + 1):
+        observed = draw(st.integers(1, 6))
+        cols.append(draw(st.lists(st.integers(0, observed - 1), min_size=n, max_size=n)))
+        cards.append(observed + draw(st.sampled_from([0, 0, 1, 3])))
+    feats = np.array(cols[:m], dtype=np.int64).T.reshape(n, m)
+    return Dataset(feats, np.array(cols[m], dtype=np.int64), tuple(cards[:m]),
+                   cards[m], tuple(f"f{j}" for j in range(m)), "y")
+
+
+@SETTINGS
+@given(kernel_datasets(), st.data())
+def test_plane_counts_equal_code_counts(ds, data):
+    """Popcounts over bit planes give the cells and counts of the bincount
+    over block-offset codes, for fixed groups of one or two columns."""
+    names = data.draw(st.permutations(list(ds.feature_names) + [ds.target_name]))
+    a = data.draw(st.integers(1, min(2, len(names) - 1)))
+    b = data.draw(st.integers(a, min(a + 2, len(names) - 1)))
+    fixed = [info._code([ds.codes(v) for v in g], ds.n) for g in (names[:a], names[a:b]) if g]
+    g, radix = info._code(fixed, ds.n)
+    cols = [ds.codes(f) for f in names[b:]]
+    cells, counts, cards = info._count_codes(cols, g, radix, ds.n)
+    got = info._count_planes(np.concatenate([info._planes(*col) for col in cols]), g, radix)
+    assert np.array_equal(got[1], counts)
+    if cards == [card for _, card in cols]:   # else ranked: other cell numbers, same order
+        assert np.array_equal(got[0], cells)
+
+
+@SETTINGS
+@given(kernel_datasets(), st.sampled_from([0, info.PLANE_CELLS, 10**9]),
+       st.sampled_from([1, info.BLOCK_CODES]), st.booleans(), st.data())
+def test_pair_cache_rows_equal_per_call_measures(ds, plane_cells, block, given_first, data):
+    """Every statistic of the pair cache equals its per-call measure by ==,
+    counted by planes, by codes, or by the cost rule between them, and
+    I(f;s) whether it comes from its own count or from the (f, s, C) one."""
+    names = data.draw(st.permutations(list(ds.feature_names)))
+    S = names[:data.draw(st.integers(1, min(2, len(names) - 1)))]
+    cands, s1, s, c = names[len(S):], S[0], S[-1], ds.target_name
+    cmi = mdata.conditional_mutual_information
+    saved = info.PLANE_CELLS, info.BLOCK_CODES
+    info.PLANE_CELLS, info.BLOCK_CODES = plane_cells, block
+    try:
+        cache = PairCache(ds)
+        cache.candidates = tuple(cands)
+        for f in cands:
+            pairs = [(cache.pair_mi_given_class(f, s), cmi(ds, [f], [s], [c])),
+                     (cache.pair_mi(f, s), cmi(ds, [f], [s], []))]
+            if not given_first:
+                pairs.reverse()
+            assert [got for got, _ in pairs] == [want for _, want in pairs]
+            assert cache.relevance(f) == cmi(ds, [f], [c], [])
+            assert cache.class_mi_given(f, s) == cmi(ds, [f], [c], [s])
+            if s1 != s:
+                assert cache.chain_mi(f, s, s1) == cmi(ds, [f], [s], [s1])
+    finally:
+        info.PLANE_CELLS, info.BLOCK_CODES = saved
+
+
+def test_summed_out_counts_keep_candidates_apart():
+    """Summing C out of the (f, s, C) counts never merges the last cell of
+    one candidate with the first of the next, even where both hold the
+    same (f, s) values: here s and f1 are constant and f2 starts at 0."""
+    rng = np.random.default_rng(3)
+    n = 100
+    feats = np.column_stack([np.zeros(n), np.zeros(n), rng.integers(0, 2, n)])
+    ds = Dataset(feats.astype(np.int64), rng.integers(0, 2, n), (1, 1, 2), 2,
+                 ("f0", "f1", "f2"), "y")
+    cache = PairCache(ds)
+    cache.candidates = ("f1", "f2")
+    for f in cache.candidates:
+        cache.pair_mi_given_class(f, "f0")
+        assert cache.pair_mi(f, "f0") == mdata.mutual_information(ds, [f], ["f0"]) == 0.0
+
+
+PAIRWISE_KINDS = ("mim", "mifs", "mrmr", "jmi", "cife", "cmifs", "cmim", "cmim2", "icap")
+
+
+@SETTINGS
+@given(kernel_datasets(), st.data())
+def test_selection_invariant_under_column_permutation(ds, data):
+    """Forward selection with each pairwise criterion gives the same scores
+    and choices on the columns in any order, up to the first step whose
+    choice the lowest-column-index tie-break made."""
+    perm = data.draw(st.permutations(range(ds.m)))
+    shuffled = Dataset(ds.features[:, perm], ds.class_codes,
+                       tuple(ds.feature_cards[j] for j in perm), ds.class_card,
+                       tuple(ds.feature_names[j] for j in perm), ds.target_name)
+    for kind in PAIRWISE_KINDS:
+        spec = CriterionSpec(kind, beta=0.5 if kind == "mifs" else None)
+        a, b = forward_select(spec, ds, k=ds.m), forward_select(spec, shuffled, k=ds.m)
+        for x, y in zip(a.steps, b.steps):
+            assert x.scores == y.scores, kind
+            assert set(x.ties) == set(y.ties), kind
+            if len(x.ties) > 1:
+                break
+            assert x.chosen == y.chosen, kind
+        else:
+            assert a.selected == b.selected, kind
 
 
 @st.composite
