@@ -97,7 +97,7 @@ class PairCache:
             self._planes[name] = _info._planes(*self.ds.codes(name))
         return self._planes[name]
 
-    def _rows(self, store: dict, key, f: str, y, z=()):
+    def _count_missing(self, store: dict, key, f: str, y, z=()):
         """f and each candidate c whose key(c) is missing from `store`, and
         the joint of (c, y, z) counted for each of them."""
         fixed = set(y) | set(z)
@@ -107,7 +107,7 @@ class PairCache:
 
     def _fill(self, store: dict, key, f: str, y, z=()) -> None:
         """Store I(c;y|z) under key(c) for f and each candidate c missing."""
-        row, tables = self._rows(store, key, f, y, z)
+        row, tables = self._count_missing(store, key, f, y, z)
         values = [v for rows in tables for v in rows.values()]
         store.update(zip(map(key, row), values))
 
@@ -123,8 +123,8 @@ class PairCache:
 
     def pair_mi_given_class(self, f: str, s: str) -> float:
         if _pair_key(f, s) not in self._mi_given_c:
-            row, tables = self._rows(self._mi_given_c, lambda c: _pair_key(c, s),
-                                     f, [s], [self.target])
+            row, tables = self._count_missing(
+                self._mi_given_c, lambda c: _pair_key(c, s), f, [s], [self.target])
             given, plain = [], []
             for rows in tables:
                 given += rows.values()

@@ -234,36 +234,39 @@ class TestPairCache:
         for name in ("relevance", "pair_mi", "pair_mi_given_class", "class_mi_given"):
             assert callable(vars(PairCache)[name])
 
-    @pytest.mark.parametrize("kind, passes", [
-        # the relevance row, then one row per selected feature scored
-        # against (the fourth is never scored against): JMI, CIFE and ICAP
-        # take I(f;s) from the (f, s, C) count of I(f;s|C)
-        ("mrmr", 1 + 3), ("jmi", 1 + 3), ("cife", 1 + 3), ("icap", 1 + 3),
-        ("cmim", 1 + 3),
-        # relevance; (f, s1, C); then per step (f, st, C) and the chain
-        # term I(f;st|s1)
-        ("cmifs", 1 + 1 + 2 * 2),
-    ])
-    @pytest.mark.parametrize("card", [2, 5])
-    def test_one_counting_pass_per_row(self, kind, passes, card, monkeypatch):
-        rng = np.random.default_rng(6)
-        ds = random_dataset(rng, n=300, m=8, card=card)
+    def test_rows_filled_in_one_pass_per_selected_feature(self, monkeypatch):
+        """One counting pass per row, by codes or by bit planes, and no
+        per-call measure."""
         calls = {"count": 0, "single": 0}
 
-        def counting(name, key):
-            real = getattr(info, name) if key == "count" else getattr(mdata, name)
+        def counting(module, name, key):
+            real = getattr(module, name)
 
             def wrapper(*args):
                 calls[key] += 1
                 return real(*args)
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
         for name in ("_count_codes", "_count_planes"):
-            monkeypatch.setattr(info, name, counting(name, "count"))
+            counting(info, name, "count")
         for name in ("mutual_information", "conditional_mutual_information"):
-            monkeypatch.setattr(mdata, name, counting(name, "single"))
-        forward_select(CriterionSpec(kind), ds, k=4)
-        assert calls == {"count": passes, "single": 0}
+            counting(mdata, name, "single")
+        passes = {
+            # the relevance row, then one row per selected feature scored
+            # against (the fourth is never scored against): JMI, CIFE and
+            # ICAP take I(f;s) from the (f, s, C) count of I(f;s|C)
+            "mrmr": 1 + 3, "jmi": 1 + 3, "cife": 1 + 3, "icap": 1 + 3, "cmim": 1 + 3,
+            # relevance; (f, s1, C); then per step (f, st, C) and the
+            # chain term I(f;st|s1)
+            "cmifs": 1 + 1 + 2 * 2,
+        }
+        rng = np.random.default_rng(6)
+        for card in (2, 5):     # five values: the chain term is counted by codes
+            ds = random_dataset(rng, n=300, m=8, card=card)
+            for kind, want in passes.items():
+                calls.update(count=0, single=0)
+                forward_select(CriterionSpec(kind), ds, k=4)
+                assert calls == {"count": want, "single": 0}, (kind, card)
 
     def test_shared_count_keeps_cached_pairs(self):
         """A miss of I(f;s|C) stores I(f;s) only where it is missing: a pair

@@ -20,20 +20,20 @@ SETTINGS = settings(max_examples=50, deadline=None)
 
 
 @st.composite
-def datasets(draw):
+def datasets(draw, max_n=40, extra=(0, 0, 1, 3, 100, 2**60)):
     """Small datasets whose composites often have more states than rows.
 
-    Declared cardinalities may exceed the observed codes, some by more
-    than n, and some so far (2**60) that an unranked product of two of
-    them overflows int64.
+    Declared cardinalities may exceed the observed codes by one of `extra`:
+    by default some by more than n, and some so far (2**60) that an
+    unranked product of two of them overflows int64.
     """
-    n = draw(st.integers(1, 40))
+    n = draw(st.integers(1, max_n))
     m = draw(st.integers(2, 5))
     cols, cards = [], []
     for _ in range(m + 1):
         observed = draw(st.integers(1, 6))
         cols.append(draw(st.lists(st.integers(0, observed - 1), min_size=n, max_size=n)))
-        cards.append(observed + draw(st.sampled_from([0, 0, 1, 3, 100, 2**60])))
+        cards.append(observed + draw(st.sampled_from(extra)))
     feats = np.array(cols[:m], dtype=np.int64).T.reshape(n, m)
     return Dataset(feats, np.array(cols[m], dtype=np.int64), tuple(cards[:m]),
                    cards[m], tuple(f"f{j}" for j in range(m)), "y")
@@ -177,21 +177,11 @@ def test_ranks_by_counting_equal_unique(data):
     assert np.array_equal(ranks, inverse)
 
 
-@st.composite
-def kernel_datasets(draw):
+def kernel_datasets():
     """Datasets of 1 to 300 rows, so fewer than the 64 rows of one plane
     word and row counts that are no multiple of 64, with small
     cardinalities, some of them 1, and some declared above the codes."""
-    n = draw(st.integers(1, 300))
-    m = draw(st.integers(2, 5))
-    cols, cards = [], []
-    for _ in range(m + 1):
-        observed = draw(st.integers(1, 6))
-        cols.append(draw(st.lists(st.integers(0, observed - 1), min_size=n, max_size=n)))
-        cards.append(observed + draw(st.sampled_from([0, 0, 1, 3])))
-    feats = np.array(cols[:m], dtype=np.int64).T.reshape(n, m)
-    return Dataset(feats, np.array(cols[m], dtype=np.int64), tuple(cards[:m]),
-                   cards[m], tuple(f"f{j}" for j in range(m)), "y")
+    return datasets(max_n=300, extra=(0, 0, 1, 3))
 
 
 @SETTINGS
