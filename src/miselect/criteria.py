@@ -7,8 +7,10 @@ empirical distributions; pairwise statistics are memoized per dataset.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -34,59 +36,64 @@ class CriterionSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown criterion {self.kind!r}; choose from {KINDS}")
         if self.kind == "mifs":
-            if self.beta is None or self.beta < 0:
-                raise ValueError("MIFS requires beta >= 0")
+            if self.beta is None or not 0 <= self.beta < math.inf:
+                raise ValueError(f"MIFS requires a finite beta >= 0, got {self.beta}")
         elif self.beta is not None:
             raise ValueError("beta is only meaningful for MIFS")
 
 
 @dataclass
 class ScoreBoard:
-    """Per-candidate scores, with a term breakdown for linear criteria."""
+    """Per-candidate scores, with a term breakdown for linear criteria, built
+    on first access from `terms`: each term as a vector over the candidates."""
 
     scores: dict[str, float] = field(default_factory=dict)
-    breakdown: dict[str, dict[str, float]] = field(default_factory=dict)
+    terms: dict[str, np.ndarray] = field(default_factory=dict, compare=False)
 
     def best(self) -> float:
         return max(self.scores.values())
 
-
-def _pair_key(f: str, s: str) -> tuple[str, str]:
-    return (f, s) if f < s else (s, f)
+    @cached_property
+    def breakdown(self) -> dict[str, dict[str, float]]:
+        columns = {name: vector.tolist() for name, vector in self.terms.items()}
+        return {f: {name: column[i] for name, column in columns.items()}
+                for i, f in enumerate(self.scores)}
 
 
 class PairCache:
     """Memoized pairwise statistics against one dataset and target.
 
-    Each statistic is a row over the candidates being scored
-    (`candidates`, which `score_all` sets): the relevance I(f;C), and per
-    selected feature s, I(f;s), I(f;s|C), I(f;C|s), and the CMIFS chain
-    term I(f;s|s_1).  A lookup that misses fills the entries of its row
-    still missing, for every candidate, in one counting pass; a miss of
-    I(f;s|C) also fills I(f;s), from the same counts with C summed out.
-    A value is computed with the candidate as X, as the candidate's own
-    lookup would; symmetric pairs are stored under the sorted key and
-    never recomputed with the roles swapped.  Rows are counted over bit
-    planes of the columns where that is cheaper, built once per column.
+    Each statistic is a row over the dataset's features, NaN where not yet
+    counted: I(f;C), and per selected s, I(f;s), I(f;s|C), I(f;C|s) and the
+    CMIFS chain term I(f;s|s_1); O(|S| m) floats in all.  A lookup returns
+    its row over `candidates` (which `score_all` sets), counting the entries
+    missing there in one pass with the candidate as X, over bit planes where
+    that is cheaper.  A miss of I(f;s|C) also fills I(f;s) where missing,
+    with C summed out of the same counts.  A symmetric pair in the other
+    feature's row is copied from there, never counted with roles swapped.
 
-    It also holds the composites of one selected set S at a time, for the
-    joint criteria: S itself, and the features outside S with each
-    candidate left out in turn.
+    It also holds the composites of one selected set S at a time for the
+    joint criteria: S, and the features outside S less each candidate.
     """
 
     def __init__(self, ds: _d.Dataset):
         self.ds = ds
         self.target = ds.target_name
-        self.candidates: tuple[str, ...] = ()
-        self._mi_c: dict[str, float] = {}          # I(f;C)
-        self._mi: dict[tuple, float] = {}          # I(f;s)
-        self._mi_given_c: dict[tuple, float] = {}  # I(f;s|C)
-        self._cmi_c: dict[tuple, float] = {}       # I(f;C|s)
-        self._chain: dict[tuple, float] = {}       # I(f;s|s_1)
-        self._planes: dict[str, np.ndarray] = {}   # info._planes of a column
+        self.candidates = ()
+        self._rows: dict[tuple, np.ndarray] = {}      # (statistic, *features) -> row
+        self._planes: dict[str, np.ndarray] = {}      # info._planes of a column
         self._S: tuple[str, ...] = ()
-        self._selected: _d.View | None = None      # the View of S
+        self._selected: _d.View | None = None         # the View of S
         self._rest: dict[str, _d.View | None] | None = None
+
+    @property
+    def candidates(self) -> tuple[str, ...]:
+        return self._candidates
+
+    @candidates.setter
+    def candidates(self, names) -> None:
+        self._candidates = tuple(names)
+        self._cols = np.array([self.ds.column_index(c) for c in self._candidates], dtype=int)
 
     def _at(self, S: tuple[str, ...]) -> None:
         if S != self._S:
@@ -97,53 +104,49 @@ class PairCache:
             self._planes[name] = _info._planes(*self.ds.codes(name))
         return self._planes[name]
 
-    def _count_missing(self, store: dict, key, f: str, y, z=()):
-        """f and each candidate c whose key(c) is missing from `store`, and
-        the joint of (c, y, z) counted for each of them."""
-        fixed = set(y) | set(z)
-        row = [f] + [c for c in self.candidates
-                     if c != f and c not in fixed and key(c) not in store]
-        return row, _d._row_tables(self.ds, row, y, z, self._plane)
+    def _row(self, *key) -> np.ndarray:
+        if key not in self._rows:
+            self._rows[key] = np.full(self.ds.m, np.nan)
+        return self._rows[key]
 
-    def _fill(self, store: dict, key, f: str, y, z=()) -> None:
-        """Store I(c;y|z) under key(c) for f and each candidate c missing."""
-        row, tables = self._count_missing(store, key, f, y, z)
-        values = [v for rows in tables for v in rows.values()]
-        store.update(zip(map(key, row), values))
+    def _pair_row(self, stat: str, s: str) -> np.ndarray:
+        """The row of s of a symmetric statistic, with its pairs in other rows copied in."""
+        row = self._row(stat, s)
+        j = self.ds.column_index(s)
+        for (name, *c), other in self._rows.items():
+            if name == stat and np.isnan(row[i := self.ds.column_index(c[0])]):
+                row[i] = other[j]
+        return row
 
-    def relevance(self, f: str) -> float:
-        if f not in self._mi_c:
-            self._fill(self._mi_c, lambda c: c, f, [self.target])
-        return self._mi_c[f]
+    def _fill(self, row: np.ndarray, y, z=(), plain: str | None = None) -> np.ndarray:
+        """`row` over the candidates, each missing entry c counted as I(c;y|z);
+        given `plain`, I(c;plain) is then filled where missing from the same counts."""
+        cols = self._cols[np.isnan(row[self._cols])]
+        if len(cols):
+            names = [self.ds.feature_names[j] for j in cols]
+            tables = list(_d._row_tables(self.ds, names, y, z, self._plane))
+            row[cols] = _d._row_values(tables)
+            if plain is not None:
+                mi = self._pair_row("I(f;s)", plain)
+                fresh = np.isnan(mi[cols])
+                mi[cols[fresh]] = _d._row_values(rows.marginal() for rows in tables)[fresh]
+        return row[self._cols]
 
-    def pair_mi(self, f: str, s: str) -> float:
-        if _pair_key(f, s) not in self._mi:
-            self._fill(self._mi, lambda c: _pair_key(c, s), f, [s])
-        return self._mi[_pair_key(f, s)]
+    def relevance(self) -> np.ndarray:
+        return self._fill(self._row("I(f;C)"), [self.target])
 
-    def pair_mi_given_class(self, f: str, s: str) -> float:
-        if _pair_key(f, s) not in self._mi_given_c:
-            row, tables = self._count_missing(
-                self._mi_given_c, lambda c: _pair_key(c, s), f, [s], [self.target])
-            given, plain = [], []
-            for rows in tables:
-                given += rows.values()
-                plain += rows.marginal().values()
-            for c, value, mi in zip(row, given, plain):
-                self._mi_given_c[_pair_key(c, s)] = value
-                self._mi.setdefault(_pair_key(c, s), mi)
-        return self._mi_given_c[_pair_key(f, s)]
+    def pair_mi(self, s: str) -> np.ndarray:
+        return self._fill(self._pair_row("I(f;s)", s), [s])
 
-    def class_mi_given(self, f: str, s: str) -> float:
-        if (f, s) not in self._cmi_c:
-            self._fill(self._cmi_c, lambda c: (c, s), f, [self.target], [s])
-        return self._cmi_c[(f, s)]
+    def pair_mi_given_class(self, s: str) -> np.ndarray:
+        return self._fill(self._pair_row("I(f;s|C)", s), [s], [self.target], plain=s)
 
-    def chain_mi(self, f: str, s: str, s1: str) -> float:
+    def class_mi_given(self, s: str) -> np.ndarray:
+        return self._fill(self._row("I(f;C|s)", s), [self.target], [s])
+
+    def chain_mi(self, s: str, s1: str) -> np.ndarray:
         """I(f;s|s_1), the CMIFS chain term."""
-        if (f, s, s1) not in self._chain:
-            self._fill(self._chain, lambda c: (c, s, s1), f, [s], [s1])
-        return self._chain[(f, s, s1)]
+        return self._fill(self._row("I(f;s|s_1)", s, s1), [s], [s1])
 
     def joint(self, S: tuple[str, ...], f: str) -> list:
         """S + [f] as a variable group, S as one View coded once per S."""
@@ -168,9 +171,59 @@ class PairCache:
             self._rest = dict(zip(outside, views))
         return self._rest[f]
 
-    def interaction(self, f: str, s: str) -> float:
-        # I(f;s;C) = I(f;s|C) - I(f;s)
-        return self.pair_mi_given_class(f, s) - self.pair_mi(f, s)
+
+# The nine pairwise criteria as one form (Brown, Pocock, Zhao & Lujan, JMLR
+# 13, 2012).  With p = |S| > 0, "sum" scores (I(f;C) + -beta * sum_s I(f;s))
+# + gamma * sum_s I(f;s|C), each weight a number, "1/p" or the spec's "beta";
+# ICAP ("clipped") I(f;C) + sum_s min(0, I(f;s|C) - I(f;s)); CMIM and CMIM2
+# the min and the mean of I(f;C|s).  Sums run over S in order; CMIFS sums over
+# S's ends and adds -I(f;s_t|s_1).  With S empty every criterion is I(f;C).
+_FORMS = {  # kind: (beta, gamma, aggregate)
+    "mim": (None, None, "sum"),
+    "mifs": ("beta", None, "sum"),
+    "mrmr": ("1/p", None, "sum"),
+    "jmi": ("1/p", "1/p", "sum"),
+    "cife": (1.0, 1.0, "sum"),
+    "cmifs": (1.0, 1.0, "sum"),
+    "icap": (None, None, "clipped"),
+    "cmim": (None, None, "min"),
+    "cmim2": (None, None, "mean"),
+}
+
+
+def _weight(w, p: int, spec: CriterionSpec) -> float:
+    return spec.beta if w == "beta" else 1.0 / p if w == "1/p" else w
+
+
+def _pairwise(spec: CriterionSpec, S: tuple[str, ...],
+              cache: PairCache) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The scores of `cache.candidates` and their terms, as vectors."""
+    rel = cache.relevance()
+    if not S:
+        return rel, {"relevance": rel}
+    p = len(S)
+    beta, gamma, aggregate = _FORMS[spec.kind]
+    if aggregate in ("min", "mean"):
+        rows = list(map(cache.class_mi_given, S))
+        return (reduce(np.minimum, rows) if aggregate == "min" else sum(rows) / p), {}
+    if aggregate == "clipped":
+        gain = (cache.pair_mi_given_class(s) - cache.pair_mi(s) for s in S)
+        pen = sum(np.where(x < 0.0, x, 0.0) for x in gain)
+        return rel + pen, {"relevance": rel, "interaction_penalty": pen}
+    ends = spec.kind == "cmifs" and p > 1
+    terms = {"relevance": rel}
+    if gamma:
+        # first: the (f, s, C) count of I(f;s|C) also fills I(f;s)
+        comp = _weight(gamma, p, spec) * sum(map(cache.pair_mi_given_class,
+                                                 (S[0], S[-1]) if ends else S))
+    if beta:
+        terms["redundancy"] = -_weight(beta, p, spec) * sum(map(cache.pair_mi,
+                                                                S[-1:] if ends else S))
+    if gamma:
+        terms["complementarity"] = comp
+    if ends:
+        terms["chain_correction"] = -cache.chain_mi(S[-1], S[0])
+    return reduce(np.add, terms.values()), terms
 
 
 # Composite-view supports larger than n / SPARSE_SUPPORT_FRACTION samples
@@ -178,95 +231,41 @@ class PairCache:
 SPARSE_SUPPORT_FRACTION = 5
 
 
-def _score_with_terms(spec: CriterionSpec, f: str, S: tuple[str, ...],
-                      cache: PairCache) -> tuple[float, dict[str, float]]:
+def _joint_score(spec: CriterionSpec, f: str, S: tuple[str, ...], cache: PairCache) -> float:
+    """The MD or MMD score of candidate f."""
     ds = cache.ds
-    target = cache.target
-    kind = spec.kind
-
-    if kind == "md":
-        return _d.mutual_information(ds, cache.joint(S, f), [target]), {}
-    if kind == "mmd":
-        joint = _d.mutual_information(ds, cache.joint(S, f), [target])
-        view = cache.rest(S, f)
-        if view is None:
-            return joint, {}
-        if view.support > ds.n / SPARSE_SUPPORT_FRACTION:
-            rest = [v for v in ds.feature_names if v not in S and v != f]
-            warnings.warn(
-                f"MMD complement set {rest} has sparse support "
-                f"({view.support} distinct tuples over {ds.n} samples); "
-                "its plug-in MI estimate may be unreliable")
-        return joint - _d.mutual_information(ds, [view], [target]), {}
-
-    rel = cache.relevance(f)
-    if not S:
-        return rel, {"relevance": rel}
-    p = len(S)
-
-    if kind == "mim":
-        return rel, {"relevance": rel}
-    if kind in ("mifs", "mrmr"):
-        beta = spec.beta if kind == "mifs" else 1.0 / p
-        red = -beta * sum(cache.pair_mi(f, s) for s in S)
-        return rel + red, {"relevance": rel, "redundancy": red}
-    if kind in ("jmi", "cife"):
-        coeff = 1.0 / p if kind == "jmi" else 1.0
-        comp = coeff * sum(cache.pair_mi_given_class(f, s) for s in S)
-        red = -coeff * sum(cache.pair_mi(f, s) for s in S)
-        return rel + red + comp, {"relevance": rel, "redundancy": red,
-                                  "complementarity": comp}
-    if kind == "cmifs":
-        # below two selected features the full form degrades to its
-        # natural truncations
-        if p == 1:
-            comp = cache.pair_mi_given_class(f, S[0])
-            red = -cache.pair_mi(f, S[0])
-            return rel + red + comp, {"relevance": rel, "redundancy": red,
-                                      "complementarity": comp}
-        s1, st = S[0], S[-1]
-        comp = cache.pair_mi_given_class(f, s1) + cache.pair_mi_given_class(f, st)
-        red = -cache.pair_mi(f, st)
-        chain = -cache.chain_mi(f, st, s1)
-        score = rel + red + comp + chain
-        return score, {"relevance": rel, "redundancy": red,
-                       "complementarity": comp, "chain_correction": chain}
-    if kind == "cmim":
-        return min(cache.class_mi_given(f, s) for s in S), {}
-    if kind == "cmim2":
-        return sum(cache.class_mi_given(f, s) for s in S) / p, {}
-    if kind == "icap":
-        pen = sum(min(0.0, cache.interaction(f, s)) for s in S)
-        return rel + pen, {"relevance": rel, "interaction_penalty": pen}
-    raise AssertionError(f"unhandled criterion {kind}")
+    joint = _d.mutual_information(ds, cache.joint(S, f), [cache.target])
+    view = cache.rest(S, f) if spec.kind == "mmd" else None
+    if view is None:
+        return joint
+    if view.support > ds.n / SPARSE_SUPPORT_FRACTION:
+        rest = [v for v in ds.feature_names if v not in S and v != f]
+        warnings.warn(
+            f"MMD complement set {rest} has sparse support "
+            f"({view.support} distinct tuples over {ds.n} samples); "
+            "its plug-in MI estimate may be unreliable")
+    return joint - _d.mutual_information(ds, [view], [cache.target])
 
 
 def score(spec: CriterionSpec, f: str, S, ds: _d.Dataset,
           cache: PairCache | None = None) -> float:
     """Score candidate `f` against the class given ordered selected set `S`."""
-    S = tuple(S)
-    if f in S:
+    if f in tuple(S):
         raise ValueError(f"candidate {f!r} is already selected")
-    if cache is None:
-        cache = PairCache(ds)
-    cache.candidates = (f,)
-    value, _ = _score_with_terms(spec, f, S, cache)
-    return value
+    return score_all(spec, [f], S, ds, cache).scores[f]
 
 
 def score_all(spec: CriterionSpec, candidates, S, ds: _d.Dataset,
               cache: PairCache | None = None) -> ScoreBoard:
     """Score every candidate; evaluation order never affects the values."""
     S = tuple(S)
-    cand = list(candidates)
+    cand = list(dict.fromkeys(candidates))
     if set(cand) & set(S):
         raise ValueError("candidates and selected set overlap")
     if cache is None:
         cache = PairCache(ds)
-    cache.candidates = tuple(cand)
-    board = ScoreBoard()
-    for f in cand:
-        value, terms = _score_with_terms(spec, f, S, cache)
-        board.scores[f] = value
-        board.breakdown[f] = terms
-    return board
+    cache.candidates = cand
+    if spec.kind in ("md", "mmd"):
+        return ScoreBoard({f: _joint_score(spec, f, S, cache) for f in cand})
+    scores, terms = _pairwise(spec, S, cache)
+    return ScoreBoard(dict(zip(cand, scores.tolist())), terms)

@@ -56,6 +56,7 @@ class Dataset:
     feature_names: tuple[str, ...]
     target_name: str
     meta: dict = field(default_factory=dict)
+    _index: dict = field(init=False, repr=False, compare=False)   # name -> column
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.int64)
@@ -86,6 +87,7 @@ class Dataset:
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         object.__setattr__(self, "feature_cards", tuple(self.feature_cards))
         object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
+        object.__setattr__(self, "_index", {name: j for j, name in enumerate(self.feature_names)})
 
     @property
     def n(self) -> int:
@@ -97,8 +99,8 @@ class Dataset:
 
     def column_index(self, name: str) -> int:
         try:
-            return self.feature_names.index(name)
-        except ValueError:
+            return self._index[name]
+        except (KeyError, TypeError):
             raise ValueError(f"unknown column {name!r}") from None
 
     def codes(self, name: str) -> tuple[np.ndarray, int]:
@@ -312,8 +314,10 @@ def _row_tables(ds: Dataset, candidates, y, z=(), planes=None):
     ys, zs = _info._check_disjoint(y, z)
     if not ys:
         raise ValueError("information measures need nonempty variable sets")
+    fixed = set(ys) | set(zs)
     for f in cands:
-        _info._check_disjoint([f], ys, zs)
+        if f in fixed:
+            raise ValueError(f"variable sets overlap on {f!r}")
     return _info._row_tables(ds.codes, ds.n, cands, [g for g in (ys, zs) if g], planes)
 
 
@@ -323,4 +327,9 @@ def mutual_information_row(ds: Dataset, candidates, y, z=()) -> list[float]:
     Equal, bit for bit, to `conditional_mutual_information(ds, [f], y, z)`
     for each f, but counts a block of candidates in one pass.
     """
-    return [v for rows in _row_tables(ds, candidates, y, z) for v in rows.values()]
+    return _row_values(_row_tables(ds, candidates, y, z)).tolist()
+
+
+def _row_values(tables) -> np.ndarray:
+    """The values of `_row_tables`' blocks, as one float64 vector."""
+    return np.concatenate([rows.values() for rows in tables] or [np.empty(0)])

@@ -224,6 +224,46 @@ def _count_planes(planes, g, radix):
     return cells, counts[cells]
 
 
+# numpy sums a contiguous float64 array of up to this many terms with eight
+# interleaved accumulators, and splits a longer one in two recursively.
+PAIRWISE_BLOCK = 128
+
+
+def _segment_sums(terms: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """`np.sum(terms[a:b])` for each pair of consecutive `bounds`, bit for bit.
+
+    A segment of L < 8 terms is summed in order from 0.0.  One of 8 to
+    PAIRWISE_BLOCK terms is summed as numpy does: accumulator j starts at
+    term j and adds every eighth term after it up to L - L % 8, the eight
+    are combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and
+    the last L % 8 terms are added in order.  Here that runs over all
+    segments at once, padded with zeros; adding 0.0 changes no sum except
+    the sign of a zero, and 0.0 + x, the start of numpy's sum, clears that
+    too.  Longer segments, where numpy recurses, take `np.sum` each.
+    """
+    start = bounds[:-1]
+    length = np.diff(bounds)
+    full = length - length % 8
+    short = length <= PAIRWISE_BLOCK
+    width = int(full[short].max(initial=8))
+    padded = np.concatenate([terms, np.zeros(width + 8)])
+    at = np.arange(width)
+    blocks = np.where(at < full[:, None], padded[start[:, None] + at], 0.0)
+    r = blocks[:, :8].copy()
+    for j in range(8, width, 8):
+        r += blocks[:, j:j + 8]
+    total = (((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3]))
+             + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7])))
+    at = np.arange(7)
+    rest = np.where(at < (length - full)[:, None], padded[(start + full)[:, None] + at], 0.0)
+    for j in range(7):
+        total += rest[:, j]
+    total = 0.0 + total
+    for i in np.flatnonzero(~short):
+        total[i] = np.sum(terms[start[i]:bounds[i + 1]])
+    return total
+
+
 class _Rows:
     """The counted joints of (f, *groups) for a block of k candidates f.
 
@@ -237,7 +277,7 @@ class _Rows:
     def __init__(self, counts, which, comps, k, n):
         self.counts, self.which, self.comps, self.k, self.n = counts, which, comps, k, n
 
-    def values(self) -> list[float]:
+    def values(self) -> np.ndarray:
         """I(f;Y|Z) for each candidate when the groups are Y and Z, or
         I(f;Y) for one group Y: bit for bit what
         `_conditional_mutual_information` gives for X = (f,)."""
@@ -248,8 +288,8 @@ class _Rows:
             return np.bincount(at, weights=p)[at]
 
         terms = (_cmi_terms if len(self.comps) == 3 else _mi_terms)(p, margin)
-        bounds = np.searchsorted(self.which, np.arange(self.k + 1))
-        return [_bits(terms[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+        total = _segment_sums(terms, np.searchsorted(self.which, np.arange(self.k + 1)))
+        return np.where(total < ZERO_TOL, 0.0, total)   # _bits of each candidate
 
     def marginal(self) -> _Rows:
         """The joints with the last group summed out of the integer counts:

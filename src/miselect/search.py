@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import data as _d
@@ -106,6 +107,8 @@ def forward_select(spec: CriterionSpec, ds: _d.Dataset, k: int | None = None,
     """
     if k is None and threshold is None:
         threshold = DEFAULT_THRESHOLD
+    if threshold is not None and not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     if k is not None and not (1 <= k <= ds.m):
         raise ValueError(f"k must be in [1, {ds.m}], got {k}")
     cache = PairCache(ds)

@@ -8,6 +8,7 @@ small numbers of features.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -192,6 +193,9 @@ def _minimal_sufficient_subsets(ds: _d.Dataset, eps: float, lagrange: float,
 def analyze(ds: _d.Dataset, eps: float = EXACT_EPS,
             lagrange: float | None = None) -> StructureReport:
     """Full structural report: relevance levels, blankets, sufficient subsets."""
+    for name, value in (("epsilon", eps), ("lagrange", lagrange)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     _check_size(ds)
     relevance = {f: classify_relevance(ds, f, eps) for f in ds.feature_names}
     blankets = {f: tuple(find_minimal_markov_blankets(ds, f, eps))

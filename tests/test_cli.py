@@ -84,6 +84,15 @@ class TestSelect:
                   "--quantizer", "pass-through"])
         assert rc == 4
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("option", [["--criterion", "mifs", "--k", "2", "--beta"],
+                                        ["--threshold"]])
+    def test_non_finite_parameter_exit_4(self, ex1_csv, capsys, option, value):
+        rc = run(["select", ex1_csv, "--target", "C", "--quantizer", "pass-through",
+                  *option, value])
+        assert rc == 4
+        assert "finite" in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_example1_report(self, ex1_csv, tmp_path):
@@ -96,6 +105,13 @@ class TestAnalyze:
         assert levels == {"x1": "weakly-relevant", "x2": "strongly-relevant",
                           "x3": "strongly-relevant", "x4": "weakly-relevant"}
         assert doc["markov_blankets"]["x4"] == [["x1"]]
+
+    @pytest.mark.parametrize("option", ["--epsilon", "--lagrange"])
+    def test_non_finite_parameter_exit_4(self, ex1_csv, capsys, option):
+        rc = run(["analyze", ex1_csv, "--target", "C", "--quantizer", "pass-through",
+                  option, "nan"])
+        assert rc == 4
+        assert "must be finite" in capsys.readouterr().err
 
 
 class TestBounds:

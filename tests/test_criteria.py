@@ -26,6 +26,11 @@ class TestCriterionSpec:
             CriterionSpec("mifs")
         assert CriterionSpec("mifs", beta=0.5).beta == 0.5
 
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+    def test_mifs_beta_must_be_finite(self, beta):
+        with pytest.raises(ValueError, match="finite beta"):
+            CriterionSpec("mifs", beta=beta)
+
 
 class TestScore:
     def test_candidate_in_selected_rejected(self):
@@ -275,20 +280,20 @@ class TestPairCache:
         ds = random_dataset(rng, n=100, m=4)
         cache = PairCache(ds)
         score_all(CriterionSpec("mrmr"), ["f1", "f2", "f3"], ["f0"], ds, cache)
-        first = dict(cache._mi)
+        first = _pair(cache, "I(f;s)", "f0", "f1")
         score_all(CriterionSpec("jmi"), ["f0", "f2", "f3"], ["f1"], ds, cache)
-        assert cache._mi[("f0", "f1")] == first[("f0", "f1")]
+        assert _pair(cache, "I(f;s)", "f1", "f0") == first
         for c in ("f2", "f3"):
-            assert cache._mi[("f1", c)] == mdata.mutual_information(ds, [c], ["f1"])
-            assert cache._mi_given_c[("f1", c)] == mdata.conditional_mutual_information(
-                ds, [c], ["f1"], ["y"])
+            assert _pair(cache, "I(f;s)", "f1", c) == mdata.mutual_information(ds, [c], ["f1"])
+            assert _pair(cache, "I(f;s|C)", "f1", c) == \
+                mdata.conditional_mutual_information(ds, [c], ["f1"], ["y"])
 
     def test_cached_pair_keeps_its_first_orientation(self, monkeypatch):
         rng = np.random.default_rng(7)
         ds = random_dataset(rng, n=100, m=4)
         cache = PairCache(ds)
         score_all(CriterionSpec("mrmr"), ["f1", "f2", "f3"], ["f0"], ds, cache)
-        first = dict(cache._mi)
+        first = _pair(cache, "I(f;s)", "f0", "f1")
         # f0 comes back as a candidate against f1: (f0, f1), cached with f1
         # as X, is not recomputed with f0 as X; only missing pairs are filled
         seen = []
@@ -297,5 +302,40 @@ class TestPairCache:
                             lambda ds_, cands, y, z=(), planes=None: seen.append((cands, y))
                             or rows(ds_, cands, y, z, planes))
         score_all(CriterionSpec("mrmr"), ["f0", "f2", "f3"], ["f1"], ds, cache)
-        assert cache._mi[("f0", "f1")] == first[("f0", "f1")]
+        assert _pair(cache, "I(f;s)", "f1", "f0") == first
         assert seen == [(["f0"], ["y"]), (["f2", "f3"], ["f1"])]
+
+    def test_rows_hold_selected_times_features_floats(self):
+        """After JMI to k=3 over m=2000 columns the cache holds a few rows of
+        m floats each, O(k m) in all, and no m x m array."""
+        rng = np.random.default_rng(9)
+        m, k = 2000, 3
+        ds = random_dataset(rng, n=60, m=m, card=2)
+        cache = PairCache(ds)
+        S = []
+        for _ in range(k):
+            cands = [f for f in ds.feature_names if f not in S]
+            board = score_all(CriterionSpec("jmi"), cands, S, ds, cache)
+            S.append(max(board.scores, key=board.scores.get))
+        floats = [a for a in _arrays(vars(cache)) if a.dtype.kind == "f"]
+        # I(f;C), then I(f;s) and I(f;s|C) for the two features scored against
+        assert len(floats) == 1 + 2 * (k - 1)
+        assert max(a.size for a in floats) == m
+        assert sum(a.size for a in floats) <= (1 + 2 * k) * m
+
+
+def _pair(cache, stat, s, f):
+    """The entry of candidate f in the row of s of a PairCache statistic."""
+    return cache._rows[(stat, s)][cache.ds.column_index(f)]
+
+
+def _arrays(obj):
+    """Every numpy array reachable from obj through dicts, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _arrays(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _arrays(value)

@@ -59,7 +59,19 @@ def _library_traces():
     gen = load_csv(GEN, "C", pt)
     truth = load_csv(TRUTH, "C", pt)
     real = load_csv(REAL, "label")
+    # twelve bins: the (f, s, C) and chain rows hold more than 128 cells
+    # per candidate, where numpy sums a row's terms recursively
+    real12 = load_csv(REAL, "label", QuantizerSpec("equal-frequency", 12))
     return {
+        # one full-precision trace for each pairwise kind; beta = 0.37 so
+        # that -beta * sum is not exact
+        "trace-forward-mim-real.json": forward_select(CriterionSpec("mim"), real, k=5),
+        "trace-forward-mifs-real.json": forward_select(
+            CriterionSpec("mifs", beta=0.37), real, k=6),
+        "trace-forward-cife-gen.json": forward_select(CriterionSpec("cife"), gen, k=6),
+        "trace-forward-cmim2-real.json": forward_select(CriterionSpec("cmim2"), real, k=6),
+        "trace-forward-jmi-real12.json": forward_select(CriterionSpec("jmi"), real12, k=6),
+        "trace-forward-cmifs-real12.json": forward_select(CriterionSpec("cmifs"), real12, k=6),
         "trace-forward-jmi-real.json": forward_select(CriterionSpec("jmi"), real, k=5),
         "trace-forward-cmim-gen.json": forward_select(CriterionSpec("cmim"), gen, k=5),
         "trace-forward-mmd-gen.json": forward_select(CriterionSpec("mmd"), gen, k=4),

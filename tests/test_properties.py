@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miselect import (CriterionSpec, Dataset, composite_view, empirical_distribution,
-                      forward_select, score_all)
+                      forward_select, plus_l_take_away_r, score, score_all)
 from miselect import data as mdata
 from miselect import info, search
 from miselect.criteria import PairCache
@@ -213,21 +213,24 @@ def test_pair_cache_rows_equal_per_call_measures(ds, plane_cells, block, given_f
     S = names[:data.draw(st.integers(1, min(2, len(names) - 1)))]
     cands, s1, s, c = names[len(S):], S[0], S[-1], ds.target_name
     cmi = mdata.conditional_mutual_information
+
+    def per_call(y, z):
+        return [cmi(ds, [f], y, z) for f in cands]
+
     saved = info.PLANE_CELLS, info.BLOCK_CODES
     info.PLANE_CELLS, info.BLOCK_CODES = plane_cells, block
     try:
         cache = PairCache(ds)
         cache.candidates = tuple(cands)
-        for f in cands:
-            pairs = [(cache.pair_mi_given_class(f, s), cmi(ds, [f], [s], [c])),
-                     (cache.pair_mi(f, s), cmi(ds, [f], [s], []))]
-            if not given_first:
-                pairs.reverse()
-            assert [got for got, _ in pairs] == [want for _, want in pairs]
-            assert cache.relevance(f) == cmi(ds, [f], [c], [])
-            assert cache.class_mi_given(f, s) == cmi(ds, [f], [c], [s])
-            if s1 != s:
-                assert cache.chain_mi(f, s, s1) == cmi(ds, [f], [s], [s1])
+        pairs = [(cache.pair_mi_given_class, per_call([s], [c])),
+                 (cache.pair_mi, per_call([s], []))]
+        if not given_first:
+            pairs.reverse()
+        assert [lookup(s).tolist() for lookup, _ in pairs] == [want for _, want in pairs]
+        assert cache.relevance().tolist() == per_call([c], [])
+        assert cache.class_mi_given(s).tolist() == per_call([c], [s])
+        if s1 != s:
+            assert cache.chain_mi(s, s1).tolist() == per_call([s], [s1])
     finally:
         info.PLANE_CELLS, info.BLOCK_CODES = saved
 
@@ -243,12 +246,175 @@ def test_summed_out_counts_keep_candidates_apart():
                  ("f0", "f1", "f2"), "y")
     cache = PairCache(ds)
     cache.candidates = ("f1", "f2")
-    for f in cache.candidates:
-        cache.pair_mi_given_class(f, "f0")
-        assert cache.pair_mi(f, "f0") == mdata.mutual_information(ds, [f], ["f0"]) == 0.0
+    cache.pair_mi_given_class("f0")
+    assert cache.pair_mi("f0").tolist() == [
+        mdata.mutual_information(ds, [f], ["f0"]) for f in cache.candidates] == [0.0, 0.0]
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.one_of(st.integers(0, 300), st.sampled_from([0, 7, 8, 127, 128, 129])),
+                min_size=1, max_size=12))
+def test_segment_sums_equal_numpy_sums(seed, lengths):
+    """The segmented sum of a row's terms is np.sum of each segment, and
+    after the clip `_bits` of it, bit for bit, on both sides of numpy's
+    8-term and 128-term boundaries; terms of mixed sign and scale, with
+    exact and negative zeros."""
+    rng = np.random.default_rng(seed)
+    terms = rng.normal(size=sum(lengths)) * 10.0 ** rng.integers(-12, 3, size=sum(lengths))
+    terms[rng.random(len(terms)) < 0.1] = 0.0
+    terms[rng.random(len(terms)) < 0.05] = -0.0
+    bounds = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    got = info._segment_sums(terms, bounds)
+    segments = [terms[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    assert got.tolist() == [float(np.sum(t)) for t in segments]
+    clipped = np.where(got < info.ZERO_TOL, 0.0, got)
+    assert clipped.view(np.int64).tolist() == \
+        np.array([info._bits(t) for t in segments]).view(np.int64).tolist()
 
 
 PAIRWISE_KINDS = ("mim", "mifs", "mrmr", "jmi", "cife", "cmifs", "cmim", "cmim2", "icap")
+
+
+class ReferenceCache:
+    """The pair statistics as per-call measures, memoized per candidate.
+
+    As the pair cache does, a symmetric pair keeps the value of the
+    orientation it was first computed in, with the candidate as X, and a
+    miss of I(f;s|C) also stores I(f;s) where it is missing.
+    """
+
+    def __init__(self, ds):
+        self.ds, self.c = ds, [ds.target_name]
+        self.mi, self.mi_given_c = {}, {}
+
+    def _cmi(self, f, y, z=()):
+        return mdata.conditional_mutual_information(self.ds, [f], y, list(z))
+
+    def relevance(self, f):
+        return self._cmi(f, self.c)
+
+    def pair_mi(self, f, s):
+        return self.mi.setdefault(frozenset((f, s)), self._cmi(f, [s]))
+
+    def pair_mi_given_class(self, f, s):
+        key = frozenset((f, s))
+        if key not in self.mi_given_c:
+            self.mi_given_c[key] = self._cmi(f, [s], self.c)
+            self.mi.setdefault(key, self._cmi(f, [s]))
+        return self.mi_given_c[key]
+
+    def class_mi_given(self, f, s):
+        return self._cmi(f, self.c, [s])
+
+    def chain_mi(self, f, s, s1):
+        return self._cmi(f, [s], [s1])
+
+
+def reference_score(spec, f, S, cache):
+    """A pairwise criterion's score of candidate f and its terms, one
+    candidate at a time, as the if-chain of formulas that the coefficient
+    table replaced computed them."""
+    kind = spec.kind
+    rel = cache.relevance(f)
+    if not S:
+        return rel, {"relevance": rel}
+    p = len(S)
+    if kind == "mim":
+        return rel, {"relevance": rel}
+    if kind in ("mifs", "mrmr"):
+        beta = spec.beta if kind == "mifs" else 1.0 / p
+        red = -beta * sum(cache.pair_mi(f, s) for s in S)
+        return rel + red, {"relevance": rel, "redundancy": red}
+    if kind in ("jmi", "cife"):
+        coeff = 1.0 / p if kind == "jmi" else 1.0
+        comp = coeff * sum(cache.pair_mi_given_class(f, s) for s in S)
+        red = -coeff * sum(cache.pair_mi(f, s) for s in S)
+        return rel + red + comp, {"relevance": rel, "redundancy": red,
+                                  "complementarity": comp}
+    if kind == "cmifs":
+        if p == 1:
+            comp = cache.pair_mi_given_class(f, S[0])
+            red = -cache.pair_mi(f, S[0])
+            return rel + red + comp, {"relevance": rel, "redundancy": red,
+                                      "complementarity": comp}
+        s1, st = S[0], S[-1]
+        comp = cache.pair_mi_given_class(f, s1) + cache.pair_mi_given_class(f, st)
+        red = -cache.pair_mi(f, st)
+        chain = -cache.chain_mi(f, st, s1)
+        return rel + red + comp + chain, {"relevance": rel, "redundancy": red,
+                                          "complementarity": comp,
+                                          "chain_correction": chain}
+    if kind == "cmim":
+        return min(cache.class_mi_given(f, s) for s in S), {}
+    if kind == "cmim2":
+        return sum(cache.class_mi_given(f, s) for s in S) / p, {}
+    if kind == "icap":
+        pen = sum(min(0.0, cache.pair_mi_given_class(f, s) - cache.pair_mi(f, s))
+                  for s in S)
+        return rel + pen, {"relevance": rel, "interaction_penalty": pen}
+    raise AssertionError(f"unhandled criterion {kind}")
+
+
+def _spec(kind, beta=0.37):
+    return CriterionSpec(kind, beta=beta if kind == "mifs" else None)
+
+
+@st.composite
+def scoring_datasets(draw):
+    """Datasets of up to 400 rows over columns of 1 to 9 values and a class
+    of 1 to 4, so that some (f, s, C) tables hold more than 128 cells."""
+    n = draw(st.integers(1, 400))
+    cards = draw(st.lists(st.integers(1, 9), min_size=2, max_size=6))
+    class_card = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    feats = np.column_stack([rng.integers(0, c, n) for c in cards])
+    if len(cards) > 2 and n > 1:   # a dependent pair
+        feats[:, 1] = (feats[:, 0] + rng.integers(0, 2, n)) % cards[1]
+    cls = (feats[:, 0] + rng.integers(0, class_card, n)) % class_card
+    return Dataset(feats, cls, tuple(cards), class_card,
+                   tuple(f"f{j}" for j in range(len(cards))), "y")
+
+
+@SETTINGS
+@given(scoring_datasets(), st.data())
+def test_scores_equal_reference_formulas(ds, data):
+    """score_all, its breakdown and a lone score equal the per-candidate
+    formulas by ==, for all nine pairwise kinds and |S| from 0 to 4."""
+    names = data.draw(st.permutations(list(ds.feature_names)))
+    S = names[:data.draw(st.integers(0, min(4, len(names) - 1)))]
+    cands = names[len(S):]
+    beta = data.draw(st.sampled_from([0.0, 0.37, 1.0, 2.5]))
+    for kind in PAIRWISE_KINDS:
+        spec = _spec(kind, beta)
+        ref = ReferenceCache(ds)
+        want = {f: reference_score(spec, f, S, ref) for f in cands}
+        board = score_all(spec, cands, S, ds)
+        assert board.scores == {f: value for f, (value, _) in want.items()}, kind
+        assert board.breakdown == {f: terms for f, (_, terms) in want.items()}, kind
+        f = cands[0]
+        assert score(spec, f, S, ds) == want[f][0], kind
+
+
+@SETTINGS
+@given(scoring_datasets(), st.data())
+def test_shared_cache_scores_equal_reference_formulas(ds, data):
+    """Every add step of a plus-2-take-away-1 run, whose one cache serves
+    removed features again as candidates, equals the per-candidate
+    formulas over one shared reference cache."""
+    k = data.draw(st.integers(1, ds.m))
+    for kind in PAIRWISE_KINDS:
+        spec = _spec(kind)
+        trace = plus_l_take_away_r(spec, ds, l=2, r=1, k=k)
+        ref, S = ReferenceCache(ds), []
+        for step in trace.steps:
+            if step.direction == "add":
+                cands = [f for f in ds.feature_names if f not in S]
+                assert step.scores == {f: reference_score(spec, f, S, ref)[0]
+                                       for f in cands}, kind
+                S.append(step.chosen)
+            else:
+                S.remove(step.chosen)
 
 
 @SETTINGS

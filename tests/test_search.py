@@ -54,6 +54,12 @@ class TestForwardSelect:
         # x4 is pure redundancy), which is below the threshold
         assert trace.selected == ("x1",)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_threshold_must_be_finite(self, threshold):
+        _, ds = example1()
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            forward_select(CriterionSpec("mrmr"), ds, threshold=threshold)
+
     def test_replay_reproduces_selection(self):
         _, ds = example1()
         trace = forward_select(CriterionSpec("jmi"), ds, k=3)

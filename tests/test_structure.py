@@ -175,6 +175,13 @@ class TestMinimalSufficientSubsets:
 
 
 class TestAnalyze:
+    @pytest.mark.parametrize("param", [{"eps": float("nan")}, {"eps": float("inf")},
+                                       {"lagrange": float("nan")},
+                                       {"lagrange": float("-inf")}])
+    def test_parameters_must_be_finite(self, ex1_with_noise, param):
+        with pytest.raises(ValueError, match="must be finite"):
+            analyze(ex1_with_noise, **param)
+
     def test_full_report_on_example1_with_noise(self, ex1_with_noise):
         report = analyze(ex1_with_noise)
         levels = {f: rl.level for f, rl in report.relevance.items()}
