@@ -68,15 +68,13 @@ def _criterion(args) -> CriterionSpec:
 def _cmd_select(args) -> int:
     ds = _load(args)
     spec = _criterion(args)
+    if args.strategy != "forward" and args.k is None:
+        raise ValueError(f"--strategy {args.strategy} requires --k")
     if args.strategy == "forward":
         trace = _search.forward_select(spec, ds, k=args.k, threshold=args.threshold)
     elif args.strategy == "backward":
-        if args.k is None:
-            raise ValueError("backward elimination requires --k")
         trace = _search.backward_eliminate(spec, ds, k=args.k)
     else:
-        if args.k is None:
-            raise ValueError("plus-l-take-away-r requires --k")
         trace = _search.plus_l_take_away_r(spec, ds, l=args.l, r=args.r, k=args.k)
     report = trace.to_dict()
     report["meta"].update(_tool_meta())

@@ -183,7 +183,8 @@ def load_csv(path, target_name: str,
     are label-encoded in lexicographic order.  The target column is never
     binned (pass-through for numeric targets).  A column of numbers with a
     non-finite value (nan, inf) or a missing-value token (MISSING_TOKENS,
-    such as NA) is rejected, and so is a line the csv module cannot parse.
+    such as NA) is rejected, and so is a line the csv module cannot parse,
+    a header that repeats a name, or one that holds only the target.
     """
     # utf-8-sig drops a byte-order mark, which would hide the first header
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -196,8 +197,13 @@ def load_csv(path, target_name: str,
     if header is None:
         raise ValueError("empty CSV file")
     header = [h.strip() for h in header]
+    if len(set(header)) < len(header):
+        repeated = next(h for i, h in enumerate(header) if h in header[:i])
+        raise ValueError(f"column name {repeated!r} repeated in header")
     if target_name not in header:
         raise ValueError(f"target column {target_name!r} not found in header")
+    if len(header) == 1:
+        raise ValueError("CSV has no feature columns")
     if not rows:
         raise ValueError("CSV has a header but no data rows")
     width = len(header)

@@ -1,4 +1,5 @@
-"""Greedy subset-generation strategies: SFS, SBE and plus-l-take-away-r."""
+"""Greedy subset-generation strategies: SFS, SBE and plus-l-take-away-r,
+all one loop of rounds of add and remove moves."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import data as _d
-from .criteria import CriterionSpec, PairCache, ScoreBoard, score_all
+from .criteria import CriterionSpec, PairCache, score_all
 
 TIE_TOL = 1e-9
 DEFAULT_THRESHOLD = 1e-6  # bits
@@ -83,19 +84,51 @@ def _removal_scores(ds: _d.Dataset, S: list[str]) -> dict[str, float]:
             for f, view in zip(S, _d.leave_one_out_views(ds, S))}
 
 
-def _add_step(spec, ds, S, cache) -> tuple[Step | None, ScoreBoard | None]:
-    candidates = [f for f in ds.feature_names if f not in S]
-    if not candidates:
-        return None, None
-    board = score_all(spec, candidates, tuple(S), ds, cache=cache)
-    chosen, ties = _pick_extremum(ds, board.scores, maximize=True)
-    return Step("add", chosen, dict(board.scores), ties), board
+def _search(spec: CriterionSpec, ds: _d.Dataset, start: tuple[str, ...],
+            moves: tuple[str, ...], k: int | None, threshold: float | None,
+            meta: dict) -> SelectionTrace:
+    """Make the "add" and "remove" `moves` of one round in order, round after
+    round, until |S| = k (never, for k None).
+
+    An add with no candidate left, or a remove from an empty S, is skipped
+    and the round goes on.  An add whose best score is below `threshold`
+    ends the search; so does a round that leaves S unchanged.
+    """
+    cache = PairCache(ds)
+    S = list(start)
+    steps: list[Step] = []
+    stop = None
+    while stop is None and len(S) != k:
+        before = frozenset(S)
+        for direction in moves:
+            if direction == "add":
+                candidates = [f for f in ds.feature_names if f not in S]
+                if not candidates:
+                    continue
+                board = score_all(spec, candidates, tuple(S), ds, cache=cache)
+                if threshold is not None and board.best() < threshold:
+                    stop = "threshold"
+                    break
+                scores = dict(board.scores)
+            elif S:
+                scores = _removal_scores(ds, S)
+            else:
+                continue
+            chosen, ties = _pick_extremum(ds, scores, maximize=direction == "add")
+            steps.append(Step(direction, chosen, scores, ties))
+            if direction == "add":
+                S.append(chosen)
+            else:
+                S.remove(chosen)
+        if stop is None and frozenset(S) == before:
+            stop = "exhausted"
+    return SelectionTrace(tuple(steps), tuple(S), stop or "reached-k", spec.kind,
+                          meta={**meta, "tie_tolerance": TIE_TOL}, start=start)
 
 
-def _remove_step(ds, S) -> Step:
-    scores = _removal_scores(ds, S)
-    chosen, ties = _pick_extremum(ds, scores, maximize=False)
-    return Step("remove", chosen, scores, ties)
+def _check_k(ds: _d.Dataset, k: int) -> None:
+    if not (1 <= k <= ds.m):
+        raise ValueError(f"k must be in [1, {ds.m}], got {k}")
 
 
 def forward_select(spec: CriterionSpec, ds: _d.Dataset, k: int | None = None,
@@ -109,28 +142,10 @@ def forward_select(spec: CriterionSpec, ds: _d.Dataset, k: int | None = None,
         threshold = DEFAULT_THRESHOLD
     if threshold is not None and not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
-    if k is not None and not (1 <= k <= ds.m):
-        raise ValueError(f"k must be in [1, {ds.m}], got {k}")
-    cache = PairCache(ds)
-    S: list[str] = []
-    steps: list[Step] = []
-    stop = "exhausted"
-    while True:
-        step, board = _add_step(spec, ds, S, cache)
-        if step is None:
-            stop = "exhausted"
-            break
-        if threshold is not None and board.best() < threshold:
-            stop = "threshold"
-            break
-        steps.append(step)
-        S.append(step.chosen)
-        if k is not None and len(S) == k:
-            stop = "reached-k"
-            break
-    return SelectionTrace(tuple(steps), tuple(S), stop, spec.kind,
-                          meta={"strategy": "forward", "k": k, "threshold": threshold,
-                                "tie_tolerance": TIE_TOL})
+    if k is not None:
+        _check_k(ds, k)
+    return _search(spec, ds, (), ("add",), k, threshold,
+                   {"strategy": "forward", "k": k, "threshold": threshold})
 
 
 def backward_eliminate(spec: CriterionSpec, ds: _d.Dataset, k: int) -> SelectionTrace:
@@ -141,17 +156,9 @@ def backward_eliminate(spec: CriterionSpec, ds: _d.Dataset, k: int) -> Selection
     """
     if spec.kind != "md":
         raise ValueError("backward elimination supports only the MD criterion")
-    if not (1 <= k <= ds.m):
-        raise ValueError(f"k must be in [1, {ds.m}], got {k}")
-    S = list(ds.feature_names)
-    steps: list[Step] = []
-    while len(S) > k:
-        step = _remove_step(ds, S)
-        steps.append(step)
-        S.remove(step.chosen)
-    return SelectionTrace(tuple(steps), tuple(S), "reached-k", spec.kind,
-                          meta={"strategy": "backward", "k": k, "tie_tolerance": TIE_TOL},
-                          start=ds.feature_names)
+    _check_k(ds, k)
+    return _search(spec, ds, ds.feature_names, ("remove",), k, None,
+                   {"strategy": "backward", "k": k})
 
 
 def plus_l_take_away_r(spec: CriterionSpec, ds: _d.Dataset, l: int, r: int,
@@ -159,50 +166,21 @@ def plus_l_take_away_r(spec: CriterionSpec, ds: _d.Dataset, l: int, r: int,
     """Alternate l forward steps and r backward steps until |S| = k.
 
     With l > r the search grows from the empty set; with r > l it shrinks
-    from the full set.  A macro-step that would revisit the previous
-    selected set stops the search early (livelock guard).
+    from the full set.  A round that leaves the selected set unchanged
+    stops the search early (livelock guard).
     """
     if l == r:
         raise ValueError("l == r makes no net progress")
     if l < 0 or r < 0:
         raise ValueError("l and r must be non-negative")
-    if not (1 <= k <= ds.m):
-        raise ValueError(f"k must be in [1, {ds.m}], got {k}")
+    _check_k(ds, k)
     growing = l > r
     net = abs(l - r)
     if growing and k % net != 0:
         raise ValueError(f"k={k} unreachable with net step {net} from the empty set")
     if not growing and (ds.m - k) % net != 0:
         raise ValueError(f"k={k} unreachable with net step {net} from the full set")
-
-    cache = PairCache(ds)
-    S: list[str] = [] if growing else list(ds.feature_names)
-    steps: list[Step] = []
-    stop = "exhausted"
-    while True:
-        before = frozenset(S)
-        phases = (("add", l), ("remove", r)) if growing else (("remove", r), ("add", l))
-        for direction, count in phases:
-            for _ in range(count):
-                if direction == "add":
-                    step, _board = _add_step(spec, ds, S, cache)
-                    if step is None:
-                        break
-                    steps.append(step)
-                    S.append(step.chosen)
-                else:
-                    if not S:
-                        break
-                    step = _remove_step(ds, S)
-                    steps.append(step)
-                    S.remove(step.chosen)
-        if len(S) == k:
-            stop = "reached-k"
-            break
-        if frozenset(S) == before:
-            stop = "exhausted"
-            break
-    return SelectionTrace(tuple(steps), tuple(S), stop, spec.kind,
-                          meta={"strategy": "plus-l-take-away-r", "l": l, "r": r,
-                                "k": k, "tie_tolerance": TIE_TOL},
-                          start=() if growing else ds.feature_names)
+    adds, removes = ("add",) * l, ("remove",) * r
+    return _search(spec, ds, () if growing else ds.feature_names,
+                   adds + removes if growing else removes + adds, k, None,
+                   {"strategy": "plus-l-take-away-r", "l": l, "r": r, "k": k})

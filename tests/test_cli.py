@@ -84,6 +84,16 @@ class TestSelect:
                   "--quantizer", "pass-through"])
         assert rc == 4
 
+    @pytest.mark.parametrize("strategy", ["backward", "plus-l-take-away-r"])
+    def test_strategy_without_k_exit_4(self, ex1_csv, capsys, tmp_path, strategy):
+        out = tmp_path / "trace.json"
+        rc = run(["select", ex1_csv, "--target", "C", "--criterion", "md",
+                  "--strategy", strategy, "--quantizer", "pass-through",
+                  "--out", str(out)])
+        assert rc == 4
+        assert f"--strategy {strategy} requires --k" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("option", [["--criterion", "mifs", "--k", "2", "--beta"],
                                         ["--threshold"]])
@@ -218,6 +228,24 @@ class TestBadTokens:
         rc = run(["info", str(data), "--target", "C", "--out", str(tmp_path / "out.json")])
         assert rc == 4
         assert "CSV line 3" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_repeated_header_name_exit_4(self, tmp_path, capsys):
+        data = tmp_path / "repeat.csv"
+        data.write_text("a,C,C\n0,0,1\n1,1,0\n")
+        rc = run(["info", str(data), "--target", "C", "--quantizer", "pass-through",
+                  "--out", str(tmp_path / "out.json")])
+        assert rc == 4
+        assert "column name 'C' repeated in header" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_target_only_header_exit_4(self, tmp_path, capsys):
+        data = tmp_path / "target.csv"
+        data.write_text("C\n0\n1\n")
+        rc = run(["select", str(data), "--target", "C", "--quantizer", "pass-through",
+                  "--out", str(tmp_path / "out.json")])
+        assert rc == 4
+        assert "CSV has no feature columns" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
 
     def test_byte_order_mark_before_target_header(self, tmp_path):

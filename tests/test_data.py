@@ -159,6 +159,21 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="CSV line 3: field larger than field limit"):
             load_csv(p, "C")
 
+    @pytest.mark.parametrize("header", ["a,C,C", "a, C ,C", "b,a,C,b"])
+    def test_repeated_header_name_rejected(self, tmp_path, header):
+        repeated = "b" if header.startswith("b") else "C"
+        p = tmp_path / "repeat.csv"
+        width = header.count(",") + 1
+        p.write_text(header + "\n" + ",".join(["1"] * width) + "\n")
+        with pytest.raises(ValueError, match=f"column name '{repeated}' repeated"):
+            load_csv(p, "C")
+
+    def test_target_only_header_rejected(self, tmp_path):
+        p = tmp_path / "target.csv"
+        p.write_text("C\n0\n1\n")
+        with pytest.raises(ValueError, match="^CSV has no feature columns$"):
+            load_csv(p, "C")
+
     def test_constant_column_cardinality_one(self, tmp_path):
         p = tmp_path / "const.csv"
         p.write_text("a,b,C\n5,1,0\n5,2,1\n5,3,0\n")

@@ -98,6 +98,15 @@ def _library_traces():
         "trace-forward-mmd-real.json": forward_select(CriterionSpec("mmd"), real, k=4),
         "trace-plus1-minus2-md-real.json": plus_l_take_away_r(
             CriterionSpec("md"), real, l=1, r=2, k=1),
+        # the searches that stop short of k: on a threshold, on a round
+        # that changes nothing, and after an add phase that ran out of
+        # candidates while its round's remove still ran
+        "trace-forward-mifs-gen-threshold.json": forward_select(
+            CriterionSpec("mifs", beta=1.0), gen, threshold=0.0),
+        "trace-forward-jmi-gen-exhausted.json": forward_select(
+            CriterionSpec("jmi"), gen, threshold=-1.0),
+        "trace-plus14-minus1-jmi-gen.json": plus_l_take_away_r(
+            CriterionSpec("jmi"), gen, l=14, r=1, k=13),
     }
 
 

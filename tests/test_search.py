@@ -152,17 +152,40 @@ class TestPlusLTakeAwayR:
 
     def test_degenerate_forward(self):
         _, ds = example1()
-        a = plus_l_take_away_r(CriterionSpec("jmi"), ds, l=1, r=0, k=3)
-        b = forward_select(CriterionSpec("jmi"), ds, k=3)
-        assert a.selected == b.selected
-        assert [s.chosen for s in a.steps] == [s.chosen for s in b.steps]
+        for k in (1, 3, 4):
+            a = plus_l_take_away_r(CriterionSpec("jmi"), ds, l=1, r=0, k=k)
+            b = forward_select(CriterionSpec("jmi"), ds, k=k)
+            assert a.steps == b.steps  # scores and ties too
+            assert (a.selected, a.stop_reason) == (b.selected, b.stop_reason)
 
     def test_degenerate_backward(self):
         _, ds = example1()
-        a = plus_l_take_away_r(CriterionSpec("md"), ds, l=0, r=1, k=2)
-        b = backward_eliminate(CriterionSpec("md"), ds, k=2)
-        assert a.selected == b.selected
-        assert [s.chosen for s in a.steps] == [s.chosen for s in b.steps]
+        for k in (1, 2, ds.m):
+            a = plus_l_take_away_r(CriterionSpec("md"), ds, l=0, r=1, k=k)
+            b = backward_eliminate(CriterionSpec("md"), ds, k=k)
+            assert a.steps == b.steps  # scores and ties too
+            assert (a.selected, a.stop_reason) == (b.selected, b.stop_reason)
+
+    @pytest.mark.parametrize("l, r", [(0, 1), (1, 2), (2, 5)])
+    def test_shrinking_to_k_equal_m_makes_no_step(self, l, r):
+        ds, _ = generate(SyntheticSpec(relevant=2, xor_groups=1, noise=2,
+                                       exhaustive=True))
+        trace = plus_l_take_away_r(CriterionSpec("md"), ds, l=l, r=r, k=ds.m)
+        assert trace.steps == ()
+        assert trace.stop_reason == "reached-k"
+        assert trace.selected == ds.feature_names
+        assert trace.replay() == trace.selected
+
+    def test_exhausted_add_does_not_end_the_round(self):
+        # l = 5 adds run out of candidates after four; the round's remove
+        # still runs, so each later round adds one back and removes one
+        _, ds = example1()
+        trace = plus_l_take_away_r(CriterionSpec("mim"), ds, l=5, r=1, k=4)
+        directions = [s.direction for s in trace.steps]
+        assert directions[:5] == ["add"] * 4 + ["remove"]
+        assert trace.stop_reason == "exhausted"
+        assert len(trace.selected) == 3
+        assert trace.replay() == trace.selected
 
     def test_removal_step_fixes_mim_redundancy(self):
         _, ds = example1()
