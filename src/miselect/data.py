@@ -40,13 +40,14 @@ def _code_dtype(cards) -> np.dtype:
     return np.dtype(np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """n samples of m discrete-coded feature columns plus a class column.
 
     Immutable after construction.  The codes are read-only copies in the
     narrowest signed integer dtype that holds the cardinalities, the
     features column-major, so reading one column is one contiguous read.
+    Datasets compare by identity.
     """
 
     features: np.ndarray              # (n, m) integer codes
@@ -56,8 +57,8 @@ class Dataset:
     feature_names: tuple[str, ...]
     target_name: str
     meta: dict = field(default_factory=dict)
-    _index: dict = field(init=False, repr=False, compare=False)   # name -> column
-    _planes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _index: dict = field(init=False, repr=False)   # name -> column
+    _planes: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.int64)
@@ -244,8 +245,7 @@ def composite_view(ds: Dataset, vars) -> tuple[np.ndarray, int]:
     Codes are the lexicographic ranks of the tuples, so the cardinality
     equals the number of distinct observed tuples.
     """
-    cell, counts = _info._cells([ds.codes(v) for v in _as_vars(vars)], ds.n)
-    return cell, len(counts)
+    return _info._ranks(*_info._code([ds.codes(v) for v in _as_vars(vars)], ds.n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,24 +273,21 @@ def leave_one_out_views(ds: Dataset, vars) -> list[View]:
     in O(len(vars)) two-column recodings, not one per column per view.
     Needs at least two variables.
     """
-    views = []
-    for code in _info._leave_one_out([ds.codes(v) for v in _as_vars(vars)], ds.n):
-        cell, counts = _info._cells([code], ds.n)
-        views.append(View(cell, len(counts)))
-    return views
+    return [View(*_info._ranks(*code))
+            for code in _info._leave_one_out([ds.codes(v) for v in _as_vars(vars)], ds.n)]
 
 
 def empirical_distribution(ds: Dataset, vars) -> JointDistribution:
     """Plug-in joint distribution of the named columns (counts / n)."""
     cols = [ds.codes(v) for v in _as_vars(vars)]
-    cell, counts = _info._cells(cols, ds.n)
-    states = np.empty((len(counts), len(cols)), dtype=np.int64)
+    cell, k = _info._ranks(*_info._code(cols, ds.n))
+    states = np.empty((k, len(cols)), dtype=np.int64)
     states[cell] = np.column_stack([c for c, _ in cols])
     return JointDistribution(
         variables=_as_vars(vars),
         cardinalities=tuple(card for _, card in cols),
         mass={tuple(int(v) for v in state): int(cnt) / ds.n
-              for state, cnt in zip(states, counts)},
+              for state, cnt in zip(states, np.bincount(cell))},
         origin="empirical",
         sample_count=ds.n,
     )
@@ -301,12 +298,15 @@ def _table(ds: Dataset):
     def column(v):
         return (v.codes, v.support) if isinstance(v, View) else ds.codes(v)
 
-    return column, ds.n, None
+    def card(v):   # no codes read
+        return ds.class_card if v == ds.target_name else ds.feature_cards[ds.column_index(v)]
+
+    return _info._Table(column, card, ds.n, None, ds._column_planes)
 
 
 def mutual_information(ds: Dataset, x, y) -> float:
     """Plug-in I(X;Y) in bits; X and Y are disjoint sets of columns or Views."""
-    return _info._mutual_information(_table(ds), x, y)
+    return _info._conditional_mutual_information(_table(ds), x, y)
 
 
 def conditional_mutual_information(ds: Dataset, x, y, z) -> float:
@@ -316,7 +316,7 @@ def conditional_mutual_information(ds: Dataset, x, y, z) -> float:
 
 def entropy(ds: Dataset, vars) -> float:
     """Plug-in H(vars) in bits."""
-    return _info._entropy(_table(ds), vars)
+    return _info._measure(_table(ds), _info._h_terms, _as_vars(vars))
 
 
 def _row_tables(ds: Dataset, candidates, y, z=()):
@@ -331,8 +331,7 @@ def _row_tables(ds: Dataset, candidates, y, z=()):
     for f in cands:
         if f in fixed:
             raise ValueError(f"variable sets overlap on {f!r}")
-    return _info._row_tables(ds.codes, ds.n, cands, [g for g in (ys, zs) if g],
-                             ds._column_planes)
+    return _info._row_tables(_table(ds), cands, [g for g in (ys, zs) if g])
 
 
 def mutual_information_row(ds: Dataset, candidates, y, z=()) -> list[float]:

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from numbers import Integral
 from typing import Iterable, Mapping
+
+import numpy as np
 
 MASS_TOL = 1e-12
 
@@ -68,6 +71,21 @@ class JointDistribution:
             return self.variables.index(var)
         except ValueError:
             raise ValueError(f"unknown variable {var!r}") from None
+
+    @cached_property
+    def _table(self):
+        """The states of positive mass as the counting kernel's weighted
+        table (`info._Table`), built on first use and kept."""
+        from .info import _Table   # info imports this module
+        live = [(s, p) for s, p in self.mass.items() if p > 0.0]
+        states = np.array([s for s, _ in live], dtype=np.int64)
+        return _Table(partial(self._column, states), None, len(live),
+                      np.array([p for _, p in live]), None)
+
+    def _column(self, states, var: str) -> tuple[np.ndarray, int]:
+        """The codes of `var` in `states`, rows of all the variables, and its cardinality."""
+        i = self.index(var)
+        return states[:, i], self.cardinalities[i]
 
     def marginal_mass(self, vars) -> dict[tuple[int, ...], float]:
         """Marginal pmf over `vars` (in the given order) as a dict."""

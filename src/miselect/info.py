@@ -1,11 +1,13 @@
 """Exact discrete information measures (all in bits, log base 2).
 
-These measures and their plug-in twins in `miselect.data` share one
-counting kernel, which sums each formula over the nonzero cells only.
+These measures and their plug-in twins in `miselect.data` are each a row of
+one counting kernel (`_row_tables`) over a table of rows, weighted or not,
+finished by `_Rows.values` over the nonzero cells only.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import combinations
 
 import numpy as np
@@ -51,16 +53,16 @@ def _code(cols, n: int) -> tuple[np.ndarray, int]:
 
     Codes order the rows lexicographically by the columns.  Whenever the
     radix passes n the code is recoded to dense ranks, and so is a column
-    whose cardinality passes n: codes stay below n*n, never overflow int64,
-    and the radix returned is at most n.
+    whose cardinality passes n: the radix returned is at most n.  The code
+    of one column may be that column's own array: callers never write it.
     """
     if not cols:
         raise ValueError("information measures need nonempty variable sets")
-    code, radix = np.zeros(n, dtype=np.int64), 1
+    code, radix = None, 1
     for col, card in cols:
         if card > n:
             col, card = _ranks(col, card)
-        code = code * card + col
+        code = col.astype(np.int64, copy=False) if code is None else code * card + col
         radix *= card
         if radix > n:
             code, radix = _ranks(code, radix)
@@ -71,11 +73,10 @@ def _leave_one_out(cols, n: int) -> list[tuple[np.ndarray, int]]:
     """The (code, radix) of `cols` with each column left out in turn.
 
     Entry i orders the rows as `_code` of every column but the i-th does:
-    it is the two-column code of the columns before i and those after it,
-    or just one of the two at either end.  Prefixes and suffixes are each
-    extended one column at a time, so the whole list takes O(len(cols))
-    two-column `_code` calls and O(len(cols) * n) memory.  Needs at least
-    two columns.
+    the two-column code of the columns before i and those after it, or one
+    of the two at either end.  Prefixes and suffixes grow a column at a
+    time: O(len(cols)) two-column `_code` calls, O(len(cols) * n) memory.
+    Needs at least two columns.
     """
     if len(cols) < 2:
         raise ValueError("leaving one column out needs at least two columns")
@@ -88,76 +89,6 @@ def _leave_one_out(cols, n: int) -> list[tuple[np.ndarray, int]]:
         out.append(_code([prefix, suffix[i]], n))
         prefix = _code([prefix, cols[i]], n)   # now codes cols[:i + 1]
     return out + [prefix]
-
-
-def _cells(cols, n: int, weights=None) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's cell (its dense lexicographic rank in `cols`) and the count,
-    or summed weight, of every cell.  Rows must have positive weight."""
-    code, radix = _code(cols, n)
-    counts = np.bincount(code, weights=weights, minlength=radix)
-    keep = counts > 0
-    return (np.cumsum(keep) - 1)[code], counts[keep]
-
-
-def _joint(table, *groups):
-    """The nonzero cells of the joint of variable groups over a table.
-
-    A table is (column, n, weights): `column(name)` gives (codes,
-    cardinality) over n rows, each row weighted by `weights` or by 1/n.
-    Returns the mass p of each cell, in lexicographic order, and
-    `margin(*i)`: the mass of groups i at each cell, summed over the cells
-    in that order.
-    """
-    column, n, weights = table
-    codes = [_code([column(v) for v in g], n) for g in groups]
-    cell, mass = _cells(codes, n, weights)
-    p = mass if weights is not None else mass / n
-
-    def margin(*idx):
-        at = np.empty(len(p), dtype=np.int64)
-        at[cell] = _code([codes[i] for i in idx], n)[0]
-        return np.bincount(at, weights=p)[at]
-
-    return p, margin
-
-
-def _bits(terms: np.ndarray) -> float:
-    return max(clip_zero(float(np.sum(terms))), 0.0)
-
-
-# The ratio forms of I(X;Y) and I(X;Y|Z) over the cells of the joint of
-# groups X, Y (and Z), each term p log2 of a ratio of cell masses.
-
-def _mi_terms(p, margin) -> np.ndarray:
-    return p * np.log2(p / (margin(0) * margin(1)))
-
-
-def _cmi_terms(p, margin) -> np.ndarray:
-    return p * np.log2(p * margin(2) / (margin(0, 2) * margin(1, 2)))
-
-
-def _entropy(table, vars) -> float:
-    p, _ = _joint(table, _as_vars(vars))
-    return _bits(-(p * np.log2(p)))
-
-
-def _conditional_entropy(table, target, given) -> float:
-    t, g = _check_disjoint(target, given)
-    if not g:
-        return _entropy(table, t)
-    p, margin = _joint(table, t, g)
-    return _bits(p * np.log2(margin(1) / p))
-
-
-def _mutual_information(table, x, y) -> float:
-    return _bits(_mi_terms(*_joint(table, *_check_disjoint(x, y))))
-
-
-def _conditional_mutual_information(table, x, y, z) -> float:
-    xs, ys, zs = _check_disjoint(x, y, z)
-    if not zs:
-        return _mutual_information(table, xs, ys)
-    return _bits(_cmi_terms(*_joint(table, xs, ys, zs)))
 
 
 # Candidate columns counted together in one pass hold at most this many
@@ -183,31 +114,33 @@ def _planes(code: np.ndarray, card: int) -> np.ndarray:
     return np.packbits(bits, axis=1).view(np.uint64)
 
 
-def _starts(cards, radix) -> np.ndarray:
-    """Where each candidate's cells start in a block's layout."""
-    width = np.array(cards, dtype=np.int64) * radix
-    return np.cumsum(width) - width
-
-
-def _count_codes(cols, g, radix, n):
-    """The nonzero cells of the block layout and their counts, and the
-    candidates' cardinalities in it: one `np.bincount` of block-offset
-    mixed-radix codes, or a sort when the layout passes the number of
-    codes.  A column whose cardinality passes n is ranked first."""
-    block = np.stack([col for col, _ in cols])
-    cards = [card for _, card in cols]
-    for j, card in enumerate(cards):
+def _count_codes(cols, g, radix, n, weights=None):
+    """The nonzero cells of the block layout and their counts, or summed
+    `weights` over the rows, and the candidates' cardinalities in it: one
+    `np.bincount` of block-offset mixed-radix codes, or a sort when the
+    layout passes twice the number of codes.  A column whose cardinality
+    passes n is ranked first."""
+    code = np.empty((len(cols), n), dtype=np.int64)
+    cards, start = [], 0
+    for row, (col, card) in zip(code, cols):
         if card > n:
-            block[j], cards[j] = _ranks(block[j], card)
-    start = _starts(cards, radix)
-    code = np.multiply(block, radix, dtype=np.int64)
-    code += g
-    code += start[:, None]
-    if sum(cards) * radix > code.size:
+            col, card = _ranks(col, card)
+        np.multiply(col, radix, out=row, dtype=np.int64)
+        row += g
+        row += start
+        cards.append(card)
+        start += card * radix
+    code = code.ravel()
+    if weights is not None and len(cols) > 1:
+        weights = np.tile(weights, len(cols))
+    if start <= 2 * code.size:
+        counts = np.bincount(code, weights=weights)
+        cells = np.flatnonzero(counts)
+        return cells, counts[cells], cards
+    if weights is None:
         return *np.unique(code, return_counts=True), cards
-    counts = np.bincount(code.ravel())
-    cells = np.flatnonzero(counts)
-    return cells, counts[cells], cards
+    cells, at = np.unique(code, return_inverse=True)
+    return cells, np.bincount(at, weights=weights), cards
 
 
 def _count_planes(planes, g, radix):
@@ -264,32 +197,63 @@ def _segment_sums(terms: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return total
 
 
+# The terms of H(X), H(X|G), I(X;Y) and I(X;Y|Z) over the cells of the joint of
+# X and the groups: p log2 of the cell mass p and `margin(*groups)` at the cell.
+
+def _h_terms(p, margin) -> np.ndarray:
+    return -(p * np.log2(p))
+
+
+def _ch_terms(p, margin) -> np.ndarray:
+    return p * np.log2(margin(1) / p)
+
+
+def _mi_terms(p, margin) -> np.ndarray:
+    return p * np.log2(p / (margin(0) * margin(1)))
+
+
+def _cmi_terms(p, margin) -> np.ndarray:
+    return p * np.log2(p * margin(2) / (margin(0, 2) * margin(1, 2)))
+
+
+# n rows of named columns as the kernel reads them: `column(name)` gives (codes,
+# cardinality).  Row i has mass weights[i], or 1/n where weights is None, and
+# then the table may give a column's `card(name)` alone and its `planes(name)`.
+_Table = namedtuple("_Table", "column card n weights planes")
+
+
 class _Rows:
     """The counted joints of (f, *groups) for a block of k candidates f.
 
-    Holds the count of each nonzero cell, the cells in lexicographic order
-    by (candidate, f, groups); the candidate of each cell; and the
-    (codes, cardinality) of f and of each group at each cell.  Within one
-    candidate, these are the cells, in the order, that `_joint` gives for
-    (f,) and the groups.
+    Holds the count (over a weighted table, the mass) of each nonzero cell,
+    in lexicographic order by (candidate, f, groups); the candidate of each
+    cell; and the (codes, cardinality) of f and of each group at each cell.
     """
 
-    def __init__(self, counts, which, comps, k, n):
-        self.counts, self.which, self.comps, self.k, self.n = counts, which, comps, k, n
+    def __init__(self, counts, which, comps, k, table):
+        self.counts, self.which, self.comps, self.k, self.table = counts, which, comps, k, table
 
-    def values(self) -> np.ndarray:
-        """I(f;Y|Z) for each candidate when the groups are Y and Z, or
-        I(f;Y) for one group Y: bit for bit what
-        `_conditional_mutual_information` gives for X = (f,)."""
-        p = self.counts / self.n
+    def values(self, terms=None) -> np.ndarray:
+        """The sum of `terms` over each candidate's cells, clipped to 0 below
+        ZERO_TOL; by default I(f;Y|Z) when the groups are Y and Z, or I(f;Y)
+        for one group Y.  A sum is `np.sum` of the candidate's terms."""
+        p = self.counts if self.table.weights is not None else self.counts / self.table.n
+        lead, cap = [(self.which, self.k)] if self.k > 1 else [], max(len(p), self.table.n)
 
         def margin(*idx):
-            at = _code([(self.which, self.k)] + [self.comps[i] for i in idx], len(p))[0]
+            # any code that groups the cells alike gives the same sums, so it
+            # is ranked only where its bincount would pass the cells and n
+            at, radix = 0, 1
+            for code, card in lead + [self.comps[i] for i in idx]:
+                at, radix = at * card + code, radix * card
+                if radix > cap:
+                    at, radix = _ranks(at, radix)
             return np.bincount(at, weights=p)[at]
 
-        terms = (_cmi_terms if len(self.comps) == 3 else _mi_terms)(p, margin)
-        total = _segment_sums(terms, np.searchsorted(self.which, np.arange(self.k + 1)))
-        return np.where(total < ZERO_TOL, 0.0, total)   # _bits of each candidate
+        t = (terms or (_cmi_terms if len(self.comps) == 3 else _mi_terms))(p, margin)
+        total = (np.sum(t, keepdims=True) if self.k == 1 else
+                 _segment_sums(t, np.searchsorted(self.which, np.arange(self.k + 1))))
+        return np.where(total < ZERO_TOL, 0.0, total)
 
     def marginal(self) -> _Rows:
         """The joints with the last group summed out of the integer counts:
@@ -301,69 +265,87 @@ class _Rows:
             first[1:] |= code[1:] != code[:-1]
         first = np.flatnonzero(first)
         return _Rows(np.add.reduceat(self.counts, first), self.which[first],
-                     [(code[first], card) for code, card in keep], self.k, self.n)
+                     [(code[first], card) for code, card in keep], self.k, self.table)
 
 
-def _row_tables(column, n, candidates, groups, planes):
-    """The joint of (f, *groups) for each candidate column f, as one `_Rows`
-    per block of candidates.
-
-    Each block is counted in one pass over a block-offset layout, where
-    candidate f's cell (a, b) for f = a and the groups' code b sits at
-    start(f) + a * radix + b.  A block whose tables hold at most PLANE_CELLS
-    cells per candidate is counted by popcount over `planes`, a function
-    from a column's name to its `_planes`; any other by `bincount`.
-    Both give the same counts of the same cells.
-    """
-    fixed = [_code([column(v) for v in g], n) for g in groups]
-    g, radix = _code(fixed, n)
-    parts = []                    # the code of each group, by cell of g
-    for col, card in fixed:
-        part = np.zeros(radix, dtype=np.int64)
+def _layout(table, groups):
+    """The code g over the rows of the groups' joint, its radix, and for
+    each group, how to read its code at a value b of g: b itself where g is
+    that one group's code, else an array indexed by b."""
+    fixed = [_code([table.column(v) for v in grp], table.n) for grp in groups]
+    if len(fixed) < 2:
+        return *(fixed[0] if fixed else (0, 1)), [(None, card) for _, card in fixed]
+    g, radix = _code(fixed, table.n)
+    parts = [(np.zeros(radix, dtype=np.int64), card) for _, card in fixed]
+    for (part, _), (col, _) in zip(parts, fixed):
         part[g] = col
-        parts.append((part, card))
-    per_block = max(1, BLOCK_CODES // n)
-    for i in range(0, len(candidates), per_block):
-        names = candidates[i:i + per_block]
-        cols = [column(f) for f in names]
-        cards = [card for _, card in cols]
-        if sum(cards) * radix <= PLANE_CELLS * len(names):
-            cells, counts = _count_planes(np.concatenate([planes(f) for f in names]), g, radix)
-        else:
-            cells, counts, cards = _count_codes(cols, g, radix, n)
-        start = _starts(cards, radix)
+    return g, radix, parts
+
+
+def _rows(cells, counts, cards, radix, parts, table) -> _Rows:
+    """The `_Rows` of a block's counted layout, in which candidate f's cell
+    (a, b) for f = a and the groups' code b sits at start(f) + a * radix + b."""
+    if len(cards) == 1:
+        which, local = np.zeros(len(cells), dtype=np.int64), cells
+    else:
+        start = np.cumsum([0] + [card * radix for card in cards[:-1]])
         which = np.searchsorted(start, cells, side="right") - 1
         local = cells - start[which]
-        value = local // radix
-        comps = [(value, max(cards))] + [(part[local - value * radix], card)
-                                         for part, card in parts]
-        yield _Rows(counts, which, comps, len(names), n)
+    value, b = np.divmod(local, radix)
+    comps = [(value, max(cards))] + [(b if part is None else part[b], c) for part, c in parts]
+    return _Rows(counts, which, comps, len(cards), table)
 
 
-def _dist_table(dist: JointDistribution):
-    live = [(s, p) for s, p in dist.mass.items() if p > 0.0]
-    states = np.array([s for s, _ in live], dtype=np.int64)
+def _row_tables(table, candidates, groups):
+    """The joint of (f, *groups) for each candidate column f, as one `_Rows`
+    per block of candidates, each counted in one pass over its layout.
 
-    def column(v):
-        i = dist.index(v)
-        return states[:, i], dist.cardinalities[i]
+    A block of a table with planes whose tables hold at most PLANE_CELLS
+    cells per candidate is counted by popcount over them, reading no codes;
+    any other by `bincount`.  Both give the same counts of the same cells.
+    """
+    g, radix, parts = _layout(table, groups)
+    per_block = max(1, BLOCK_CODES // table.n)
+    for i in range(0, len(candidates), per_block):
+        names = candidates[i:i + per_block]
+        cards = [table.card(f) for f in names] if table.planes else None
+        if cards and sum(cards) * radix <= PLANE_CELLS * len(names):
+            cells, counts = _count_planes(np.concatenate([table.planes(f) for f in names]),
+                                          g, radix)
+        else:
+            cells, counts, cards = _count_codes([table.column(f) for f in names],
+                                                g, radix, table.n, table.weights)
+        yield _rows(cells, counts, cards, radix, parts, table)
 
-    return column, len(live), np.array([p for _, p in live])
+
+def _measure(table, terms, x, *groups) -> float:
+    """The sum of `terms` over the joint of group X and the groups: a row of
+    one candidate, the columns of X coded into one column."""
+    col = _code([table.column(v) for v in x], table.n)
+    g, radix, parts = _layout(table, groups)
+    cells, counts, cards = _count_codes([col], g, radix, table.n, table.weights)
+    return float(_rows(cells, counts, cards, radix, parts, table).values(terms)[0])
+
+
+def _conditional_mutual_information(table, x, y, z=()) -> float:
+    xs, ys, zs = _check_disjoint(x, y, z)
+    return _measure(table, _cmi_terms, xs, ys, zs) if zs else _measure(table, _mi_terms, xs, ys)
 
 
 def entropy(dist: JointDistribution, vars) -> float:
     """H(vars): -sum p log2 p over the marginal; 0*log 0 := 0."""
-    return _entropy(_dist_table(dist), vars)
+    return _measure(dist._table, _h_terms, _as_vars(vars))
 
 
 def conditional_entropy(dist: JointDistribution, target, given) -> float:
     """H(target | given) = sum p(t,g) log2( p(g) / p(t,g) )."""
-    return _conditional_entropy(_dist_table(dist), target, given)
+    t, g = _check_disjoint(target, given)
+    return _measure(dist._table, _ch_terms, t, g) if g else _measure(dist._table, _h_terms, t)
 
 
 def mutual_information(dist: JointDistribution, x, y) -> float:
     """I(X;Y) = sum p(x,y) log2( p(x,y) / (p(x) p(y)) ); symmetric, >= 0."""
-    return _mutual_information(_dist_table(dist), x, y)
+    return _conditional_mutual_information(dist._table, x, y)
 
 
 def conditional_mutual_information(dist: JointDistribution, x, y, z) -> float:
@@ -371,7 +353,7 @@ def conditional_mutual_information(dist: JointDistribution, x, y, z) -> float:
 
     Empty Z reduces to I(X;Y).
     """
-    return _conditional_mutual_information(_dist_table(dist), x, y, z)
+    return _conditional_mutual_information(dist._table, x, y, z)
 
 
 def _conditional_interaction(dist, groups, cond) -> float:

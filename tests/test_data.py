@@ -15,6 +15,8 @@ from miselect import data as mdata
 from miselect import info
 from miselect.data import quantize_column
 
+from conftest import random_dataset
+
 EX1_CSV = """x1,x2,x3,x4,C
 0,0,0,0,0
 1,0,0,1,1
@@ -206,6 +208,13 @@ class TestDataset:
         assert np.array_equal(ds.features, feats) and np.array_equal(ds.class_codes, cls)
         assert ds.codes("f3")[0].flags.c_contiguous
         assert feats.flags.writeable  # the caller's array is copied, not frozen
+
+    def test_datasets_compare_by_identity(self):
+        """Two Datasets built alike are distinct objects: == is identity,
+        never an elementwise compare of their code arrays."""
+        a, b = (random_dataset(np.random.default_rng(5), 50, 3, 2) for _ in range(2))
+        assert a == a and a != b and not a == b
+        assert len({a, b, a}) == 2
 
     @pytest.mark.parametrize("card, dtype", [
         (127, np.int8), (128, np.int16), (2**15, np.int32), (2**31, np.int64),

@@ -1,7 +1,9 @@
+import pickle
+
 import numpy as np
 import pytest
 
-from miselect import JointDistribution
+from miselect import JointDistribution, mutual_information
 
 from conftest import random_distribution
 
@@ -76,3 +78,13 @@ def test_marginal_preserves_requested_order():
                           {(0, 1): 0.25, (1, 0): 0.75})
     m = d.marginal(["b", "a"])
     assert m.mass == {(1, 0): 0.25, (0, 1): 0.75}
+
+
+def test_measured_distribution_keeps_its_table_and_pickles(ex1):
+    """The weighted table is built on the first measure and kept; a
+    measured distribution still pickles, and measures the same after."""
+    dist, _ = ex1
+    before = mutual_information(dist, ["x2", "x3"], "C")
+    assert dist._table is dist._table
+    copy = pickle.loads(pickle.dumps(dist))
+    assert copy == dist and mutual_information(copy, ["x2", "x3"], "C") == before

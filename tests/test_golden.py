@@ -1,4 +1,5 @@
-"""Golden reports: every CLI report and a few full-precision traces, byte for byte.
+"""Golden reports: every CLI report, a few full-precision traces and the
+per-call information measures, byte for byte.
 
 The inputs and expected outputs live in tests/golden/.  To rebuild them
 (only after a deliberate change of output), run from the repository root:
@@ -7,14 +8,18 @@ The inputs and expected outputs live in tests/golden/.  To rebuild them
 """
 
 import csv
+import json
 import sys
 import tempfile
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from miselect import CriterionSpec, load_csv, QuantizerSpec
+from miselect import CriterionSpec, example1, load_csv, QuantizerSpec
+from miselect import data as mdata
+from miselect import info
 from miselect.cli import main
 from miselect.criteria import KINDS
 from miselect.search import backward_eliminate, forward_select, plus_l_take_away_r
@@ -23,6 +28,7 @@ GOLDEN = Path(__file__).parent / "golden"
 GEN = GOLDEN / "gen.csv"        # 13 binary columns, n=400, 10% label noise
 REAL = GOLDEN / "real.csv"      # 300 rows, 8 real-valued columns, string label
 TRUTH = GOLDEN / "truth.csv"    # exhaustive truth table, m=6
+PER_CALL = GOLDEN / "per-call-values.json"
 
 INT = ["--quantizer", "pass-through"]
 
@@ -110,6 +116,75 @@ def _library_traces():
     }
 
 
+def _dataset_values(name: str, ds) -> dict[str, float]:
+    """Plug-in H, I and CMI over runs of consecutive columns of `ds`, with
+    composite Views as whole groups and as the leading columns of a group."""
+    F, T = list(ds.feature_names), [ds.target_name]
+    runs = [F[i:i + w] for w in (1, 2, 3) for i in range(len(F) - w + 1)]
+    views = {f"V({','.join(r)})": mdata.View(*mdata.composite_view(ds, r))
+             for r in runs if len(r) > 1}
+    views.update((f"L({f})", view) for f, view in zip(F, mdata.leave_one_out_views(ds, F)))
+    out = {}
+
+    def put(label, value):
+        out[f"{name} {label}"] = value
+
+    put(f"H({F[0]},{T[0]})", mdata.entropy(ds, F[:1] + T))
+    for r in runs + [F]:
+        put(f"H({','.join(r)})", mdata.entropy(ds, r))
+        put(f"I({','.join(r)};{T[0]})", mdata.mutual_information(ds, r, T))
+    for f, g, h in zip(F, F[1:], F[2:]):
+        put(f"I({f};{g})", mdata.mutual_information(ds, [f], [g]))
+        put(f"I({f};{T[0]}|{g})", mdata.conditional_mutual_information(ds, [f], T, [g]))
+        put(f"I({f};{T[0]}|{g},{h})", mdata.conditional_mutual_information(ds, [f], T, [g, h]))
+        put(f"I({f},{g};{T[0]}|{h})", mdata.conditional_mutual_information(ds, [f, g], T, [h]))
+        put(f"I({f};{g}|{T[0]})", mdata.conditional_mutual_information(ds, [f], [g], T))
+    for label, view in views.items():
+        other = next(f for f in F if f not in label)
+        put(f"H({label})", mdata.entropy(ds, [view]))
+        put(f"H({label},{other})", mdata.entropy(ds, [view, other]))
+        put(f"I({label};{T[0]})", mdata.mutual_information(ds, [view], T))
+        put(f"I({label},{other};{T[0]})", mdata.mutual_information(ds, [view, other], T))
+        put(f"I({other};{T[0]}|{label})",
+            mdata.conditional_mutual_information(ds, [other], T, [view]))
+        put(f"I({other};{label}|{T[0]})",
+            mdata.conditional_mutual_information(ds, [other], [view], T))
+    return out
+
+
+def _distribution_values(name: str, dist, size: int) -> dict[str, float]:
+    """Exact H, H(T|G), I and CMI over disjoint groups of up to `size`
+    variables of `dist`, conditioning on one variable."""
+    vs = dist.variables
+    groups = [g for k in range(1, size + 1) for g in combinations(vs, k)]
+    out = {}
+    for a in groups:
+        out[f"{name} H({','.join(a)})"] = info.entropy(dist, a)
+        for b in groups:
+            if set(a) & set(b):
+                continue
+            ab = f"{','.join(a)};{','.join(b)}"
+            out[f"{name} H({ab.replace(';', '|')})"] = info.conditional_entropy(dist, a, b)
+            out[f"{name} I({ab})"] = info.mutual_information(dist, a, b)
+            for c in groups[:len(vs)] if len(a) + len(b) <= size + 1 else ():
+                if not set(c) & (set(a) | set(b)):
+                    out[f"{name} I({ab}|{c[0]})"] = info.conditional_mutual_information(
+                        dist, a, b, c)
+    return out
+
+
+def _per_call_values() -> dict[str, float]:
+    pt = QuantizerSpec("pass-through", 2)
+    truth = load_csv(TRUTH, "C", pt)
+    return {
+        **_dataset_values("real", load_csv(REAL, "label")),
+        **_dataset_values("gen", load_csv(GEN, "C", pt)),
+        **_distribution_values("example1", example1()[0], 2),
+        **_distribution_values(
+            "truth", mdata.empirical_distribution(truth, truth.feature_names + ("C",)), 2),
+    }
+
+
 def _run_cli(argv, out: Path) -> bytes:
     assert main(argv + ["--out", str(out)]) == 0
     return out.read_bytes()
@@ -125,6 +200,12 @@ def test_cli_report_matches_golden(name, tmp_path):
 def test_library_traces_match_golden():
     for name, trace in _library_traces().items():
         assert trace.to_json(indent=2) + "\n" == (GOLDEN / name).read_text(), name
+
+
+def test_per_call_measures_match_golden():
+    """Every per-call H, H(T|G), I and CMI, to the last bit (float.hex)."""
+    got = {name: value.hex() for name, value in _per_call_values().items()}
+    assert got == json.loads(PER_CALL.read_text())
 
 
 def _write_inputs(tmp: Path):
@@ -158,6 +239,8 @@ def regenerate():
         _run_cli(argv, GOLDEN / name)
     for name, trace in _library_traces().items():
         (GOLDEN / name).write_text(trace.to_json(indent=2) + "\n")
+    values = {name: value.hex() for name, value in _per_call_values().items()}
+    PER_CALL.write_text(json.dumps(values, indent=1) + "\n")
 
 
 if __name__ == "__main__":

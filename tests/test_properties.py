@@ -16,6 +16,8 @@ from miselect import data as mdata
 from miselect import info, search
 from miselect.criteria import PairCache
 
+from conftest import random_distribution
+
 SETTINGS = settings(max_examples=50, deadline=None)
 
 
@@ -235,6 +237,25 @@ def test_pair_cache_rows_equal_per_call_measures(ds, plane_cells, block, given_f
         info.PLANE_CELLS, info.BLOCK_CODES = saved
 
 
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 4), min_size=3, max_size=5),
+       st.sampled_from([0.0, 0.5]), st.sampled_from([1, info.BLOCK_CODES]), st.booleans())
+def test_weighted_rows_equal_exact_measures(seed, cards, sparsity, block, given_z):
+    """Rows over an exact distribution's weighted table, a block or one
+    candidate at a time, equal the per-call exact measures by ==."""
+    dist = random_distribution(np.random.default_rng(seed), cards, sparsity=sparsity)
+    *cands, y = dist.variables[:-1] if given_z else dist.variables
+    groups = [[y], [dist.variables[-1]]] if given_z else [[y]]
+    saved, info.BLOCK_CODES = info.BLOCK_CODES, block
+    try:
+        got = np.concatenate([rows.values() for rows in
+                              info._row_tables(dist._table, cands, groups)]).tolist()
+    finally:
+        info.BLOCK_CODES = saved
+    assert got == [info.conditional_mutual_information(dist, [f], *groups) if given_z
+                   else info.mutual_information(dist, [f], groups[0]) for f in cands]
+
+
 def test_summed_out_counts_keep_candidates_apart():
     """Summing C out of the (f, s, C) counts never merges the last cell of
     one candidate with the first of the next, even where both hold the
@@ -257,9 +278,9 @@ def test_summed_out_counts_keep_candidates_apart():
                 min_size=1, max_size=12))
 def test_segment_sums_equal_numpy_sums(seed, lengths):
     """The segmented sum of a row's terms is np.sum of each segment, and
-    after the clip `_bits` of it, bit for bit, on both sides of numpy's
-    8-term and 128-term boundaries; terms of mixed sign and scale, with
-    exact and negative zeros."""
+    after the clip max(clip_zero(np.sum)), 0) of it, bit for bit, on both
+    sides of numpy's 8-term and 128-term boundaries; terms of mixed sign
+    and scale, with exact and negative zeros."""
     rng = np.random.default_rng(seed)
     terms = rng.normal(size=sum(lengths)) * 10.0 ** rng.integers(-12, 3, size=sum(lengths))
     terms[rng.random(len(terms)) < 0.1] = 0.0
@@ -270,7 +291,7 @@ def test_segment_sums_equal_numpy_sums(seed, lengths):
     assert got.tolist() == [float(np.sum(t)) for t in segments]
     clipped = np.where(got < info.ZERO_TOL, 0.0, got)
     assert clipped.view(np.int64).tolist() == \
-        np.array([info._bits(t) for t in segments]).view(np.int64).tolist()
+        np.array([max(info.clip_zero(np.sum(t)), 0.0) for t in segments]).view(np.int64).tolist()
 
 
 PAIRWISE_KINDS = ("mim", "mifs", "mrmr", "jmi", "cife", "cmifs", "cmim", "cmim2", "icap")
