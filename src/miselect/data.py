@@ -9,7 +9,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import info as _info
-from .distribution import JointDistribution, _as_vars
+from .distribution import JointDistribution, _as_vars, _check_codes
 
 STRATEGIES = ("equal-width", "equal-frequency", "pass-through")
 
@@ -47,7 +47,8 @@ class Dataset:
     Immutable after construction.  The codes are read-only copies in the
     narrowest signed integer dtype that holds the cardinalities, the
     features column-major, so reading one column is one contiguous read.
-    Datasets compare by identity.
+    Datasets compare by identity.  Codes must be of an integer or bool dtype
+    (`distribution._check_codes`, as for a `JointDistribution`'s states).
     """
 
     features: np.ndarray              # (n, m) integer codes
@@ -59,10 +60,10 @@ class Dataset:
     meta: dict = field(default_factory=dict)
     _index: dict = field(init=False, repr=False)   # name -> column
     _planes: dict = field(default_factory=dict, init=False, repr=False)
+    _table: tuple = field(init=False, compare=False, repr=False)   # the kernel's `info._Table`
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.int64)
-        cls = np.asarray(self.class_codes, dtype=np.int64)
+        feats, cls = np.asarray(self.features), np.asarray(self.class_codes)
         if feats.ndim != 2 or cls.ndim != 1:
             raise ValueError("features must be 2-D and class_codes 1-D")
         n, m = feats.shape
@@ -74,12 +75,8 @@ class Dataset:
             raise ValueError("feature names/cardinalities mismatch")
         if len(set(self.feature_names)) != m or self.target_name in self.feature_names:
             raise ValueError("column names must be distinct")
-        for j, card in enumerate(self.feature_cards):
-            col = feats[:, j]
-            if col.min() < 0 or col.max() >= card:
-                raise ValueError(f"codes out of range in column {self.feature_names[j]!r}")
-        if cls.min() < 0 or cls.max() >= self.class_card:
-            raise ValueError("class codes out of range")
+        _check_codes(feats, self.feature_cards, self.feature_names)
+        _check_codes(cls[:, None], [self.class_card], [self.target_name])
         feats = np.array(feats, dtype=_code_dtype(self.feature_cards), order="F")
         cls = np.array(cls, dtype=_code_dtype([self.class_card]))
         feats.setflags(write=False)
@@ -90,6 +87,8 @@ class Dataset:
         object.__setattr__(self, "feature_cards", tuple(self.feature_cards))
         object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
         object.__setattr__(self, "_index", {name: j for j, name in enumerate(self.feature_names)})
+        object.__setattr__(self, "_table", _info._Table(self._column, self._card, n, None,
+                                                           self._column_planes))
 
     @property
     def n(self) -> int:
@@ -112,6 +111,16 @@ class Dataset:
         j = self.column_index(name)
         return self.features[:, j], self.feature_cards[j]
 
+    def _column(self, v) -> tuple[np.ndarray, int]:
+        """`codes` of a column name, or the codes and support of a View."""
+        return (v.codes, v.support) if isinstance(v, View) else self.codes(v)
+
+    def _card(self, name: str) -> int:
+        """The cardinality of a column, read without its codes."""
+        if name == self.target_name:
+            return self.class_card
+        return self.feature_cards[self.column_index(name)]
+
     def _column_planes(self, name: str) -> np.ndarray:
         """`info._planes` of a column, built on first use and kept."""
         if name not in self._planes:
@@ -125,7 +134,8 @@ def quantize_column(values: np.ndarray, spec: QuantizerSpec) -> tuple[np.ndarray
     if spec.strategy == "pass-through":
         if not np.all(values == np.floor(values)):
             raise ValueError("pass-through quantizer requires integer-valued column")
-        return _info._ranks(values.astype(np.int64))
+        # ranked as floats: an int64 cast maps every value past 2**63 to one code
+        return _info._ranks(values)
     lo, hi = values.min(), values.max()
     if lo == hi:
         return np.zeros(len(values), dtype=np.int64), 1
@@ -293,30 +303,19 @@ def empirical_distribution(ds: Dataset, vars) -> JointDistribution:
     )
 
 
-def _table(ds: Dataset):
-    """The counting kernel's table over `ds`, reading a View as its codes."""
-    def column(v):
-        return (v.codes, v.support) if isinstance(v, View) else ds.codes(v)
-
-    def card(v):   # no codes read
-        return ds.class_card if v == ds.target_name else ds.feature_cards[ds.column_index(v)]
-
-    return _info._Table(column, card, ds.n, None, ds._column_planes)
-
-
 def mutual_information(ds: Dataset, x, y) -> float:
     """Plug-in I(X;Y) in bits; X and Y are disjoint sets of columns or Views."""
-    return _info._conditional_mutual_information(_table(ds), x, y)
+    return _info._conditional_mutual_information(ds._table, x, y)
 
 
 def conditional_mutual_information(ds: Dataset, x, y, z) -> float:
     """Plug-in I(X;Y|Z) in bits; empty Z reduces to mutual_information."""
-    return _info._conditional_mutual_information(_table(ds), x, y, z)
+    return _info._conditional_mutual_information(ds._table, x, y, z)
 
 
 def entropy(ds: Dataset, vars) -> float:
     """Plug-in H(vars) in bits."""
-    return _info._measure(_table(ds), _info._h_terms, _as_vars(vars))
+    return _info._measure(ds._table, _info._h_terms, *_info._check_disjoint(vars))
 
 
 def _row_tables(ds: Dataset, candidates, y, z=()):
@@ -331,7 +330,7 @@ def _row_tables(ds: Dataset, candidates, y, z=()):
     for f in cands:
         if f in fixed:
             raise ValueError(f"variable sets overlap on {f!r}")
-    return _info._row_tables(_table(ds), cands, [g for g in (ys, zs) if g])
+    return _info._row_tables(ds._table, cands, [g for g in (ys, zs) if g])
 
 
 def mutual_information_row(ds: Dataset, candidates, y, z=()) -> list[float]:

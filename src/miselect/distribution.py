@@ -1,11 +1,10 @@
-"""Sparse joint probability mass functions over discrete variables."""
+"""Sparse joint probability mass functions over discrete variables, and the
+one check of discrete codes that they and `data.Dataset` both make."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from numbers import Integral
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -19,12 +18,23 @@ def _as_vars(vars) -> tuple[str, ...]:
     return tuple(vars)
 
 
+def _check_codes(codes: np.ndarray, cards, names) -> None:
+    """Raise unless `codes`, n >= 1 rows of the named columns, are integer or bool
+    codes with column j in [0, cards[j]).  Reads column minima and maxima, copies nothing."""
+    if codes.dtype.kind not in "biu":
+        raise ValueError(f"non-integer codes in column {names[0]!r}")
+    bad = (codes.min(axis=0) < 0) | (codes.max(axis=0) >= np.asarray(cards))
+    if bad.any():
+        raise ValueError(f"codes out of range in column {names[int(np.argmax(bad))]!r}")
+
+
 @dataclass(frozen=True)
 class JointDistribution:
     """Probability mass over tuples of discrete variables, stored sparsely.
 
     Only states with nonzero probability are kept; composite state spaces
-    are exponentially large but data-sparse.
+    are exponentially large but data-sparse.  Those states and their masses
+    are the kernel's weighted table, built and checked once, at construction.
     """
 
     variables: tuple[str, ...]
@@ -32,6 +42,8 @@ class JointDistribution:
     mass: Mapping[tuple[int, ...], float]
     origin: str = "exact"  # "exact" or "empirical"
     sample_count: int | None = field(default=None)
+    _states: np.ndarray = field(init=False, compare=False, repr=False)  # a row per variable
+    _table: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -43,28 +55,29 @@ class JointDistribution:
             raise ValueError("duplicate variable names")
         if not self.variables:
             raise ValueError("a distribution needs at least one variable")
-        for card in self.cardinalities:
-            if card < 1:
-                raise ValueError("cardinalities must be >= 1")
+        if min(self.cardinalities) < 1:
+            raise ValueError("cardinalities must be >= 1")
         if self.origin not in ("exact", "empirical"):
             raise ValueError(f"unknown origin {self.origin!r}")
         if self.origin == "empirical" and (self.sample_count is None or self.sample_count < 1):
             raise ValueError("empirical distributions need a positive sample_count")
         arity = len(self.variables)
-        total = 0.0
-        for state, p in self.mass.items():
+        for state in self.mass:
             if len(state) != arity:
                 raise ValueError(f"state {state} has wrong arity (expected {arity})")
-            for code, card in zip(state, self.cardinalities):
-                if not isinstance(code, Integral):
-                    raise ValueError(f"state {state} has a non-integer code")
-                if not (0 <= code < card):
-                    raise ValueError(f"state {state} out of range for cardinalities")
-            if p < 0:
-                raise ValueError("negative probability mass")
-            total += p
+        p = np.fromiter(self.mass.values(), dtype=float, count=len(self.mass))
+        if (p < 0).any():
+            raise ValueError("negative probability mass")
+        total = float(p.sum())
         if not abs(total - 1.0) <= MASS_TOL:   # so a NaN mass fails too
             raise ValueError(f"mass sums to {total!r}, not 1")
+        states = np.array(list(self.mass)).reshape(len(self.mass), arity)
+        _check_codes(states, self.cardinalities, self.variables)
+        live = p > 0.0
+        object.__setattr__(self, "_states", np.ascontiguousarray(states[live].T, dtype=np.int64))
+        from .info import _Table   # info imports this module
+        weights = p[live]
+        object.__setattr__(self, "_table", _Table(self._column, None, len(weights), weights, None))
 
     def index(self, var: str) -> int:
         try:
@@ -72,30 +85,17 @@ class JointDistribution:
         except ValueError:
             raise ValueError(f"unknown variable {var!r}") from None
 
-    @cached_property
-    def _table(self):
-        """The states of positive mass as the counting kernel's weighted
-        table (`info._Table`), built on first use and kept."""
-        from .info import _Table   # info imports this module
-        live = [(s, p) for s, p in self.mass.items() if p > 0.0]
-        states = np.array([s for s, _ in live], dtype=np.int64)
-        return _Table(partial(self._column, states), None, len(live),
-                      np.array([p for _, p in live]), None)
-
-    def _column(self, states, var: str) -> tuple[np.ndarray, int]:
-        """The codes of `var` in `states`, rows of all the variables, and its cardinality."""
+    def _column(self, var: str) -> tuple[np.ndarray, int]:
+        """The codes of `var` in the states of positive mass, and its cardinality."""
         i = self.index(var)
-        return states[:, i], self.cardinalities[i]
+        return self._states[i], self.cardinalities[i]
 
     def marginal_mass(self, vars) -> dict[tuple[int, ...], float]:
-        """Marginal pmf over `vars` (in the given order) as a dict."""
-        vs = _as_vars(vars)
-        idx = [self.index(v) for v in vs]
+        """Marginal pmf over `vars` (in the given order) as a dict, keyed in
+        the order the states first occur, each mass summed in state order."""
+        idx = [self.index(v) for v in _as_vars(vars)]
         out: dict[tuple[int, ...], float] = {}
-        for state, p in self.mass.items():
-            if p == 0.0:
-                continue
-            key = tuple(state[i] for i in idx)
+        for key, p in zip(map(tuple, self._states[idx].T.tolist()), self._table.weights.tolist()):
             out[key] = out.get(key, 0.0) + p
         return out
 
@@ -103,10 +103,5 @@ class JointDistribution:
         """Marginalize onto a variable subset; mass re-sums to 1."""
         vs = _as_vars(vars)
         cards = tuple(self.cardinalities[self.index(v)] for v in vs)
-        return JointDistribution(
-            variables=vs,
-            cardinalities=cards,
-            mass=self.marginal_mass(vs),
-            origin=self.origin,
-            sample_count=self.sample_count,
-        )
+        return JointDistribution(vs, cards, self.marginal_mass(vs),
+                                 origin=self.origin, sample_count=self.sample_count)

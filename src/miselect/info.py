@@ -219,6 +219,7 @@ def _cmi_terms(p, margin) -> np.ndarray:
 # n rows of named columns as the kernel reads them: `column(name)` gives (codes,
 # cardinality).  Row i has mass weights[i], or 1/n where weights is None, and
 # then the table may give a column's `card(name)` alone and its `planes(name)`.
+# `JointDistribution` and `data.Dataset` each build theirs once, at construction.
 _Table = namedtuple("_Table", "column card n weights planes")
 
 
@@ -243,11 +244,7 @@ class _Rows:
         def margin(*idx):
             # any code that groups the cells alike gives the same sums, so it
             # is ranked only where its bincount would pass the cells and n
-            at, radix = 0, 1
-            for code, card in lead + [self.comps[i] for i in idx]:
-                at, radix = at * card + code, radix * card
-                if radix > cap:
-                    at, radix = _ranks(at, radix)
+            at = _code(lead + [self.comps[i] for i in idx], cap)[0]
             return np.bincount(at, weights=p)[at]
 
         t = (terms or (_cmi_terms if len(self.comps) == 3 else _mi_terms))(p, margin)
@@ -334,7 +331,7 @@ def _conditional_mutual_information(table, x, y, z=()) -> float:
 
 def entropy(dist: JointDistribution, vars) -> float:
     """H(vars): -sum p log2 p over the marginal; 0*log 0 := 0."""
-    return _measure(dist._table, _h_terms, _as_vars(vars))
+    return _measure(dist._table, _h_terms, *_check_disjoint(vars))
 
 
 def conditional_entropy(dist: JointDistribution, target, given) -> float:
@@ -385,7 +382,7 @@ def interaction_information(dist: JointDistribution, groups) -> float:
 
 def total_correlation(dist: JointDistribution, vars) -> float:
     """C(f1;...;fm) = sum_i H(f_i) - H(f1,...,fm); >= 0."""
-    vs = _as_vars(vars)
+    vs, = _check_disjoint(vars)
     if len(vs) < 2:
         raise ValueError("total_correlation needs at least two variables")
     tc = sum(entropy(dist, v) for v in vs) - entropy(dist, vs)

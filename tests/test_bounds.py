@@ -1,15 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from miselect import (
     JointDistribution,
     bayes_error_bounds,
+    empirical_distribution,
     example1,
     feature_bounds_table,
     mutual_information,
 )
 
-from conftest import random_distribution
+from conftest import random_distribution, random_dataset
 
 
 def test_uninformative_feature_binary_class():
@@ -110,3 +113,30 @@ def test_feature_bounds_table():
     x1 = rows[0]
     assert x1["upper"] == pytest.approx(0.25, abs=1e-9)
     assert x1["exact"] == pytest.approx(0.25, abs=1e-9)
+
+
+def _exact_error_cases():
+    """Distributions whose exact MAP error was recorded as float.hex before
+    `marginal_mass` read the stored states: three with zero-mass states
+    among the others, in product order, and two empirical ones."""
+    rng = np.random.default_rng(11)
+    for cards, with_zeros, swapped in (
+            ([2, 3, 2], "0x1.49d7eaac713e8p-4", "0x1.15faa260d5090p-3"),
+            ([3, 2, 4, 2], "0x1.41b94a4dfe9fcp-3", "0x1.7d18c14528648p-3"),
+            ([4, 4, 3], "0x1.d517fbc4a46e8p-3", "0x1.696b28f798ed4p-2")):
+        d = random_distribution(rng, cards, sparsity=0.3)
+        mass = {s: d.mass.get(s, 0.0) for s in itertools.product(*map(range, cards))}
+        z = JointDistribution(d.variables, d.cardinalities, mass)
+        yield z, z.variables[:-1], z.variables[-1], with_zeros
+        yield d, d.variables[1:], d.variables[0], swapped
+    ds = random_dataset(np.random.default_rng(3), n=500, m=4, card=5, class_card=3)
+    dist = empirical_distribution(ds, ["f2", "f0", "f1", "y"])
+    yield dist, ("f2", "f0"), "y", "0x1.25e353f7ced90p-1"
+    yield dist, ("f1",), "y", "0x1.3e76c8b439580p-1"
+
+
+def test_exact_error_unchanged_bit_for_bit():
+    cases = list(_exact_error_cases())
+    assert any(0.0 in d.mass.values() for d, *_ in cases)
+    for dist, f, c, expected in cases:
+        assert bayes_error_bounds(dist, f, c).exact.hex() == expected

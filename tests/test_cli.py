@@ -232,6 +232,18 @@ class TestInfo:
         assert doc["class_relevance"]["x1"] == pytest.approx(0.311278124459,
                                                              abs=1e-9)
 
+    def test_pass_through_values_past_int64(self, tmp_path, capsys):
+        """A target of 1e20 and 2e20 keeps two classes, so b, its copy,
+        carries one bit about it."""
+        data = tmp_path / "huge.csv"
+        data.write_text("a,b,C\n1e20,1e20,1e20\n2e20,2e20,2e20\n"
+                        "-3e19,1e20,1e20\n1e20,2e20,2e20\n")
+        rc = run(["info", str(data), "--target", "C", "--quantizer", "pass-through"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["class_relevance"]["b"] == pytest.approx(1.0, abs=1e-12)
+        assert doc["class_relevance"]["a"] == pytest.approx(0.5, abs=1e-12)
+
     def test_report_ignores_thread_env(self, ex1_csv, tmp_path, monkeypatch):
         args = ["info", ex1_csv, "--target", "C", "--quantizer", "pass-through"]
         monkeypatch.delenv("MISELECT_THREADS", raising=False)

@@ -177,6 +177,14 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="^CSV has no feature columns$"):
             load_csv(p, "C")
 
+    def test_pass_through_keeps_values_past_int64_apart(self, tmp_path):
+        """Integer-valued floats beyond the int64 range keep distinct codes."""
+        p = tmp_path / "huge.csv"
+        p.write_text("a,C\n1e20,1e20\n2e20,2e20\n-3e19,1e20\n1e20,2e20\n")
+        ds = load_csv(p, "C", QuantizerSpec("pass-through"))
+        assert ds.class_card == 2 and list(ds.class_codes) == [0, 1, 0, 1]
+        assert ds.feature_cards == (3,) and list(ds.features[:, 0]) == [1, 2, 0, 1]
+
     def test_constant_column_cardinality_one(self, tmp_path):
         p = tmp_path / "const.csv"
         p.write_text("a,b,C\n5,1,0\n5,2,1\n5,3,0\n")
@@ -194,6 +202,18 @@ class TestDataset:
     def test_codes_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             Dataset(np.array([[3]]), np.array([0]), (2,), 2, ("a",), "C")
+
+    @pytest.mark.parametrize("code", [0.5, 1.0, "1"])
+    def test_non_integer_codes_rejected(self, code):
+        """A float or string code is rejected, not truncated or parsed."""
+        with pytest.raises(ValueError, match="non-integer codes in column 'a'"):
+            Dataset(np.array([[code], [0]]), np.array([0, 1]), (2,), 2, ("a",), "C")
+        with pytest.raises(ValueError, match="non-integer codes in column 'C'"):
+            Dataset(np.array([[0], [1]]), np.array([code, 0]), (2,), 2, ("a",), "C")
+
+    def test_class_codes_out_of_range_name_the_target(self):
+        with pytest.raises(ValueError, match="codes out of range in column 'C'"):
+            Dataset(np.array([[0], [1]]), np.array([0, 2]), (2,), 2, ("a",), "C")
 
     def test_codes_narrow_column_major_read_only(self):
         rng = np.random.default_rng(1)
@@ -322,6 +342,11 @@ class TestFastEstimators:
 
 
 class TestOverlapRejected:
+    def test_entropy_repeated_name(self):
+        _, ds = example1()
+        with pytest.raises(ValueError, match="variable sets overlap on 'x1'"):
+            mdata.entropy(ds, ["x1", "x1"])
+
     def test_mi_overlap(self):
         _, ds = example1()
         with pytest.raises(ValueError, match="overlap"):

@@ -1,9 +1,12 @@
+import itertools
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from miselect import JointDistribution, mutual_information
+from miselect import Dataset, JointDistribution, mutual_information
 
 from conftest import random_distribution
 
@@ -11,6 +14,11 @@ from conftest import random_distribution
 def test_mass_must_sum_to_one():
     with pytest.raises(ValueError, match="sums to"):
         JointDistribution(("x",), (2,), {(0,): 0.4, (1,): 0.4})
+
+
+def test_empty_mass_rejected():
+    with pytest.raises(ValueError, match="sums to 0.0"):
+        JointDistribution(("x",), (2,), {})
 
 
 def test_negative_mass_rejected():
@@ -88,3 +96,84 @@ def test_measured_distribution_keeps_its_table_and_pickles(ex1):
     assert dist._table is dist._table
     copy = pickle.loads(pickle.dumps(dist))
     assert copy == dist and mutual_information(copy, ["x2", "x3"], "C") == before
+
+
+CODE_KINDS = ("int64", "int8", "uint8", "bool", "float", "half", "string", "negative", "too-large")
+
+
+@st.composite
+def code_arrays(draw):
+    """n rows of k columns of codes and the k cardinalities: valid int64
+    codes recast or with one cell broken as `kind` says."""
+    n, k = draw(st.integers(1, 6)), draw(st.integers(2, 4))
+    cards = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    codes = np.array([[draw(st.integers(0, c - 1)) for c in cards] for _ in range(n)])
+    kind = draw(st.sampled_from(CODE_KINDS))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, k - 1))
+    if kind == "negative":
+        codes[i, j] = -draw(st.integers(1, 3))
+    elif kind == "too-large":
+        codes[i, j] = cards[j] + draw(st.integers(0, 2))
+    elif kind == "half":
+        codes = codes + np.where(np.arange(n * k).reshape(n, k) == i * k + j, 0.5, 0.0)
+    elif kind == "string":
+        codes = codes.astype(str)
+    elif kind != "int64":
+        codes = codes.astype(kind)
+    return codes, cards
+
+
+def _error(build):
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(code_arrays(), st.booleans())
+def test_dataset_and_distribution_check_codes_alike(case, python_scalars):
+    """The same codes, as a Dataset's columns or as a distribution's states
+    (numpy or Python scalars), pass or fail alike, with the same message."""
+    codes, cards = case
+    names = tuple(f"v{j}" for j in range(len(cards)))
+    states = dict.fromkeys(map(tuple, codes.tolist() if python_scalars else codes))
+    mass = dict.fromkeys(states, 1 / len(states))
+    from_dataset = _error(lambda: Dataset(codes[:, :-1], codes[:, -1], tuple(cards[:-1]),
+                                          cards[-1], names[:-1], names[-1]))
+    from_states = _error(lambda: JointDistribution(names, tuple(cards), mass))
+    assert from_dataset == from_states
+    valid = codes.dtype.kind in "biu" and bool(((codes >= 0) & (codes < cards)).all())
+    assert (from_dataset is None) == valid
+
+
+def reference_marginal_mass(dist, vars):
+    """`marginal_mass` as the dict loop over `mass` it was written as."""
+    idx = [dist.index(v) for v in vars]
+    out = {}
+    for state, p in dist.mass.items():
+        if p == 0.0:
+            continue
+        key = tuple(state[i] for i in idx)
+        out[key] = out.get(key, 0.0) + p
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1), st.data())
+def test_marginal_mass_equals_dict_loop(cards, seed, data):
+    """Same keys in the same order and the same sums, zero-mass states and
+    all, compared with ==."""
+    rng = np.random.default_rng(seed)
+    states = list(itertools.product(*map(range, cards)))
+    order = rng.permutation(len(states))
+    w = rng.dirichlet(np.ones(len(states))) * (rng.random(len(states)) >= 0.4)
+    w[order[0]] += w.sum() == 0.0
+    w /= w.sum()
+    names = tuple(f"v{j}" for j in range(len(cards)))
+    dist = JointDistribution(names, tuple(cards),
+                             {states[i]: float(w[i]) for i in order})
+    vs = data.draw(st.permutations(names))[:data.draw(st.integers(0, len(names)))]
+    assert list(dist.marginal_mass(vs).items()) == list(reference_marginal_mass(dist, vs).items())

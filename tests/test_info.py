@@ -52,6 +52,10 @@ class TestEntropy:
         with pytest.raises(ValueError):
             entropy(ex1[0], ["nope"])
 
+    def test_repeated_name_rejected(self, ex1):
+        with pytest.raises(ValueError, match="variable sets overlap on 'x1'"):
+            entropy(ex1[0], ["x1", "x1"])
+
 
 class TestConditionalEntropy:
     def test_self_overlap_rejected(self, ex1):
@@ -206,6 +210,10 @@ class TestTotalCorrelation:
     def test_singleton_rejected(self, ex1):
         with pytest.raises(ValueError):
             total_correlation(ex1[0], ["x1"])
+
+    def test_repeated_name_rejected(self, ex1):
+        with pytest.raises(ValueError, match="variable sets overlap on 'x1'"):
+            total_correlation(ex1[0], ["x1", "x1"])
 
     def test_independent_variables_are_uncorrelated(self):
         assert total_correlation(independent_pair(), ["x", "y"]) == 0.0
