@@ -25,19 +25,13 @@ from .info import entropy, mutual_information
 class ErrorBounds:
     lower: float
     upper: float
-    exact: float | None
+    exact: float
     mi: float
     class_entropy: float
     meta: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"lower": self.lower, "upper": self.upper, "exact": self.exact,
-                "mi": self.mi, "class_entropy": self.class_entropy,
-                "meta": dict(self.meta)}
 
-
-def bayes_error_bounds(dist: JointDistribution, f, class_var: str,
-                       with_exact: bool = True) -> ErrorBounds:
+def bayes_error_bounds(dist: JointDistribution, f, class_var: str) -> ErrorBounds:
     """Sandwich the Bayes error of predicting `class_var` from `f`.
 
     `f` may be a set of variables; the bound statement is single-variable
@@ -53,16 +47,12 @@ def bayes_error_bounds(dist: JointDistribution, f, class_var: str,
     hc = entropy(dist, class_var)
     lower = max(0.0, 1.0 - (mi + 1.0) / math.log2(class_card))
     upper = min(1.0, max(0.0, 0.5 * (hc - mi)))
-    exact = None
-    if with_exact:
-        joint = dist.marginal_mass(fs + (class_var,))
-        best: dict[tuple, float] = {}
-        for state, p in joint.items():
-            kf = state[:-1]
-            if p > best.get(kf, 0.0):
-                best[kf] = p
-        exact = 1.0 - sum(best.values())
-    return ErrorBounds(lower=lower, upper=upper, exact=exact, mi=mi,
+    best: dict[tuple, float] = {}   # max_c p(x, c) for each x
+    for state, p in dist.marginal_mass(fs + (class_var,)).items():
+        x = state[:-1]
+        if p > best.get(x, 0.0):
+            best[x] = p
+    return ErrorBounds(lower=lower, upper=upper, exact=1.0 - sum(best.values()), mi=mi,
                        class_entropy=hc,
                        meta={"log_base": 2, "composite_feature": len(fs) > 1})
 

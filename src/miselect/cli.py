@@ -16,6 +16,7 @@ import sys
 from . import bounds as _bounds
 from . import data as _d
 from . import datagen as _gen
+from . import info as _info
 from . import search as _search
 from . import structure as _structure
 from .criteria import KINDS, CriterionSpec
@@ -49,7 +50,7 @@ def _tool_meta() -> dict:
     return {
         "tie_break": "lowest-column-index",
         "tie_tolerance": _search.TIE_TOL,
-        "zero_tolerance": 1e-12,
+        "zero_tolerance": _info.ZERO_TOL,
         "log_base": 2,
     }
 
@@ -156,14 +157,12 @@ def _cmd_info(args) -> int:
     return EXIT_OK
 
 
-def _add_io_args(p, with_quantizer=True):
+def _add_io_args(p):
     p.add_argument("input", help="input CSV file (header row required)")
     p.add_argument("--target", required=True, help="name of the class column")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    if with_quantizer:
-        p.add_argument("--quantizer", default="equal-frequency",
-                       choices=_d.STRATEGIES)
-        p.add_argument("--bins", type=int, default=5)
+    p.add_argument("--quantizer", default="equal-frequency", choices=_d.STRATEGIES)
+    p.add_argument("--bins", type=int, default=5)
 
 
 def build_parser() -> argparse.ArgumentParser:

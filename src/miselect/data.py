@@ -75,8 +75,8 @@ class Dataset:
             raise ValueError("feature names/cardinalities mismatch")
         if len(set(self.feature_names)) != m or self.target_name in self.feature_names:
             raise ValueError("column names must be distinct")
-        _check_codes(feats, self.feature_cards, self.feature_names)
-        _check_codes(cls[:, None], [self.class_card], [self.target_name])
+        _check_codes(feats.T, self.feature_cards, self.feature_names)
+        _check_codes([cls], [self.class_card], [self.target_name])
         feats = np.array(feats, dtype=_code_dtype(self.feature_cards), order="F")
         cls = np.array(cls, dtype=_code_dtype([self.class_card]))
         feats.setflags(write=False)
@@ -131,6 +131,8 @@ class Dataset:
 def quantize_column(values: np.ndarray, spec: QuantizerSpec) -> tuple[np.ndarray, int]:
     """Discretize one numeric column into dense codes."""
     values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("cannot quantize a non-finite value (nan, inf or -inf)")
     if spec.strategy == "pass-through":
         if not np.all(values == np.floor(values)):
             raise ValueError("pass-through quantizer requires integer-valued column")
@@ -296,8 +298,7 @@ def empirical_distribution(ds: Dataset, vars) -> JointDistribution:
     return JointDistribution(
         variables=_as_vars(vars),
         cardinalities=tuple(card for _, card in cols),
-        mass={tuple(int(v) for v in state): int(cnt) / ds.n
-              for state, cnt in zip(states, np.bincount(cell))},
+        mass=dict(zip(map(tuple, states.tolist()), (np.bincount(cell) / ds.n).tolist())),
         origin="empirical",
         sample_count=ds.n,
     )

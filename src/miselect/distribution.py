@@ -18,14 +18,19 @@ def _as_vars(vars) -> tuple[str, ...]:
     return tuple(vars)
 
 
-def _check_codes(codes: np.ndarray, cards, names) -> None:
-    """Raise unless `codes`, n >= 1 rows of the named columns, are integer or bool
-    codes with column j in [0, cards[j]).  Reads column minima and maxima, copies nothing."""
-    if codes.dtype.kind not in "biu":
-        raise ValueError(f"non-integer codes in column {names[0]!r}")
-    bad = (codes.min(axis=0) < 0) | (codes.max(axis=0) >= np.asarray(cards))
-    if bad.any():
-        raise ValueError(f"codes out of range in column {names[int(np.argmax(bad))]!r}")
+def _check_codes(columns, cards, names) -> None:
+    """Raise unless each of `columns`, 1-D arrays of n >= 1 codes of the named
+    columns, holds integer or bool codes in [0, card).  A column of Python ints
+    past int64 (an object array) is out of range.  Reads each column's minimum
+    and maximum, copies nothing."""
+    kinds = [col.dtype.kind for col in columns]
+    for kind, col, name in zip(kinds, columns, names):
+        ints = kind in "biu" or kind == "O" and all(isinstance(v, (int, np.integer)) for v in col)
+        if not ints:
+            raise ValueError(f"non-integer codes in column {name!r}")
+    for kind, col, card, name in zip(kinds, columns, cards, names):
+        if kind == "O" or col.min() < 0 or col.max() >= card:
+            raise ValueError(f"codes out of range in column {name!r}")
 
 
 @dataclass(frozen=True)
@@ -71,10 +76,11 @@ class JointDistribution:
         total = float(p.sum())
         if not abs(total - 1.0) <= MASS_TOL:   # so a NaN mass fails too
             raise ValueError(f"mass sums to {total!r}, not 1")
-        states = np.array(list(self.mass)).reshape(len(self.mass), arity)
-        _check_codes(states, self.cardinalities, self.variables)
+        # a column at a time, so that a bad code is named by its own column
+        columns = [np.array(col) for col in zip(*self.mass)]
+        _check_codes(columns, self.cardinalities, self.variables)
         live = p > 0.0
-        object.__setattr__(self, "_states", np.ascontiguousarray(states[live].T, dtype=np.int64))
+        object.__setattr__(self, "_states", np.stack(columns, dtype=np.int64)[:, live])
         from .info import _Table   # info imports this module
         weights = p[live]
         object.__setattr__(self, "_table", _Table(self._column, None, len(weights), weights, None))

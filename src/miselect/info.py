@@ -19,8 +19,8 @@ from .distribution import JointDistribution, _as_vars
 ZERO_TOL = 1e-12
 
 
-def clip_zero(value: float, tol: float = ZERO_TOL) -> float:
-    return 0.0 if abs(value) < tol else value
+def clip_zero(value: float) -> float:
+    return 0.0 if abs(value) < ZERO_TOL else value
 
 
 def _check_disjoint(*groups) -> list[tuple[str, ...]]:

@@ -9,15 +9,14 @@ small numbers of features.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from . import data as _d
 from .info import clip_zero
 
 MAX_EXHAUSTIVE_FEATURES = 20
-EXACT_EPS = 1e-9       # default tolerance for exact / truth-table data
-EMPIRICAL_EPS = 1e-3   # default tolerance for sampled data (bits)
+EXACT_EPS = 1e-9   # default tolerance (bits) for every "is this (C)MI zero?" test
 
 STRONGLY_RELEVANT = "strongly-relevant"
 WEAKLY_RELEVANT = "weakly-relevant"
@@ -71,17 +70,22 @@ class StructureReport:
         }
 
 
-def _check_size(ds: _d.Dataset):
-    if ds.m > MAX_EXHAUSTIVE_FEATURES:
+def _check(ds: _d.Dataset | None, eps: float, lagrange: float | None = None):
+    """Reject a non-finite eps or lagrange, and a dataset (when given) too wide
+    to enumerate its subsets."""
+    for name, value in (("epsilon", eps), ("lagrange", lagrange)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if ds is not None and ds.m > MAX_EXHAUSTIVE_FEATURES:
         raise ValueError(
             f"exhaustive structural analysis is limited to "
             f"{MAX_EXHAUSTIVE_FEATURES} features (got {ds.m}); "
             "use the greedy criteria for larger problems")
 
 
-def _subsets_by_size(items, include_empty=True):
-    start = 0 if include_empty else 1
-    for size in range(start, len(items) + 1):
+def _subsets(items):
+    """Every subset of `items`, the empty one first, by increasing size."""
+    for size in range(len(items) + 1):
         yield from combinations(items, size)
 
 
@@ -92,13 +96,13 @@ def classify_relevance(ds: _d.Dataset, f: str, eps: float = EXACT_EPS) -> Releva
     subset S has I(f;C|S) > eps (the smallest such S is the witness).
     Irrelevant otherwise.  Exhaustive over all 2^(m-1) subsets.
     """
-    _check_size(ds)
+    _check(ds, eps)
     ds.codes(f)  # validates the name
     rest = [v for v in ds.feature_names if v != f]
     target = [ds.target_name]
     if _d.conditional_mutual_information(ds, [f], target, rest) > eps:
         return RelevanceLevel(STRONGLY_RELEVANT)
-    for S in _subsets_by_size(rest):
+    for S in _subsets(rest):
         if _d.conditional_mutual_information(ds, [f], target, list(S)) > eps:
             return RelevanceLevel(WEAKLY_RELEVANT, witness=tuple(S))
     return RelevanceLevel(IRRELEVANT)
@@ -106,6 +110,7 @@ def classify_relevance(ds: _d.Dataset, f: str, eps: float = EXACT_EPS) -> Releva
 
 def is_markov_blanket(ds: _d.Dataset, f: str, M, eps: float = EXACT_EPS) -> bool:
     """True iff I(f; {C} u (F \\ {f} \\ M) | M) <= eps."""
+    _check(None, eps)
     M = tuple(M)
     if f in M:
         raise ValueError(f"candidate blanket contains {f!r}")
@@ -122,10 +127,10 @@ def find_minimal_markov_blankets(ds: _d.Dataset, f: str,
 
     Strongly relevant features have none.
     """
-    _check_size(ds)
+    _check(ds, eps)
     rest = [v for v in ds.feature_names if v != f]
     found: list[tuple[str, ...]] = []
-    for M in _subsets_by_size(rest):
+    for M in _subsets(rest):
         if any(set(prev) <= set(M) for prev in found):
             continue
         if is_markov_blanket(ds, f, M, eps):
@@ -142,14 +147,15 @@ def _default_lagrange(ds: _d.Dataset, full: float, eps: float) -> float:
     return ds.m / full if full > eps else 1.0
 
 
-def _dmi(ds: _d.Dataset, S, full: float) -> float:
-    part = _d.mutual_information(ds, S, [ds.target_name]) if S else 0.0
-    return max(clip_zero(full - part), 0.0)
+def _dmi(ds: _d.Dataset, S, full: float) -> tuple[float, float]:
+    """I(S;C) and the deficit I(F;C) - I(S;C), clipped at 0."""
+    part = _d.mutual_information(ds, list(S), [ds.target_name]) if S else 0.0
+    return part, max(clip_zero(full - part), 0.0)
 
 
 def dmi(ds: _d.Dataset, S) -> float:
     """Mutual-information deficit of S: I(F;C) - I(S;C); 0 iff S suffices."""
-    return _dmi(ds, list(S), _full_mi(ds))
+    return _dmi(ds, list(S), _full_mi(ds))[1]
 
 
 def minimal_sufficient_subsets(ds: _d.Dataset, eps: float = EXACT_EPS,
@@ -160,7 +166,7 @@ def minimal_sufficient_subsets(ds: _d.Dataset, eps: float = EXACT_EPS,
     objective |S| - lambda * I(S;C) so that any sufficient subset beats any
     insufficient one.
     """
-    _check_size(ds)
+    _check(ds, eps, lagrange)
     full = _full_mi(ds)
     if lagrange is None:
         lagrange = _default_lagrange(ds, full, eps)
@@ -169,34 +175,26 @@ def minimal_sufficient_subsets(ds: _d.Dataset, eps: float = EXACT_EPS,
 
 def _minimal_sufficient_subsets(ds: _d.Dataset, eps: float, lagrange: float,
                                 full: float) -> list[SufficientSubset]:
-    names = list(ds.feature_names)
-    target = [ds.target_name]
     results: list[SufficientSubset] = []
-    for size in range(ds.m + 1):
-        for S in combinations(names, size):
-            part = _d.mutual_information(ds, list(S), target) if S else 0.0
-            deficit = max(clip_zero(full - part), 0.0)
-            if deficit <= eps:
-                selected_info = _d.entropy(ds, list(S)) if S else 0.0
-                results.append(SufficientSubset(
-                    features=tuple(S),
-                    dmi=deficit,
-                    mi_with_class=part,
-                    lagrangian=size - lagrange * part,
-                    selected_info=selected_info,
-                ))
-        if results:
+    for S in _subsets(ds.feature_names):
+        if results and len(S) > len(results[0].features):
             break
+        part, deficit = _dmi(ds, S, full)
+        if deficit <= eps:
+            results.append(SufficientSubset(
+                features=S,
+                dmi=deficit,
+                mi_with_class=part,
+                lagrangian=len(S) - lagrange * part,
+                selected_info=_d.entropy(ds, list(S)) if S else 0.0,
+            ))
     return results
 
 
 def analyze(ds: _d.Dataset, eps: float = EXACT_EPS,
             lagrange: float | None = None) -> StructureReport:
     """Full structural report: relevance levels, blankets, sufficient subsets."""
-    for name, value in (("epsilon", eps), ("lagrange", lagrange)):
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    _check_size(ds)
+    _check(ds, eps, lagrange)
     relevance = {f: classify_relevance(ds, f, eps) for f in ds.feature_names}
     blankets = {f: tuple(find_minimal_markov_blankets(ds, f, eps))
                 for f in ds.feature_names}
@@ -207,7 +205,7 @@ def analyze(ds: _d.Dataset, eps: float = EXACT_EPS,
         relevance=relevance,
         markov_blankets=blankets,
         sufficient_subsets=tuple(_minimal_sufficient_subsets(ds, eps, lagrange, full)),
-        dmi_per_feature={f: _dmi(ds, [f], full) for f in ds.feature_names},
+        dmi_per_feature={f: _dmi(ds, [f], full)[1] for f in ds.feature_names},
         epsilon=eps,
         lagrange_multiplier=lagrange,
     )

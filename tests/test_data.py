@@ -71,6 +71,12 @@ class TestQuantizeColumn:
         with pytest.raises(ValueError):
             quantize_column(np.array([0.5, 1.0]), QuantizerSpec("pass-through"))
 
+    @pytest.mark.parametrize("strategy", mdata.STRATEGIES)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_rejected(self, strategy, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            quantize_column([1.0, bad, 2.0, 3.0], QuantizerSpec(strategy, 2))
+
 
 class TestLoadCsv:
     def test_example1_roundtrip(self, ex1_csv):

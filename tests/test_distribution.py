@@ -49,6 +49,18 @@ def test_non_integer_state_rejected(state):
         JointDistribution(("x", "y"), (2, 2), {state: 0.5, (1, 1): 0.5})
 
 
+def test_non_integer_code_named_by_its_column():
+    with pytest.raises(ValueError, match="non-integer codes in column 'b'"):
+        JointDistribution(("a", "b"), (2, 2), {(1, 0.5): 1.0})
+
+
+@pytest.mark.parametrize("state,name", [((2**70, 0), "a"), ((0, 2**70), "b"),
+                                        ((0, -2**70), "b")])
+def test_int_code_past_int64_is_out_of_range(state, name):
+    with pytest.raises(ValueError, match=f"codes out of range in column '{name}'"):
+        JointDistribution(("a", "b"), (2, 2), {state: 1.0})
+
+
 def test_numpy_integer_states_accepted():
     d = JointDistribution(("x",), (2,), {(np.int64(0),): 0.5, (np.int8(1),): 0.5})
     assert d.marginal_mass("x") == {(0,): 0.5, (1,): 0.5}

@@ -174,6 +174,31 @@ class TestMinimalSufficientSubsets:
             assert strong <= set(s.features)
 
 
+# each structure analysis, called on example1() with keyword arguments, and
+# the parameters it takes
+STRUCTURE_CALLS = {
+    "classify_relevance": (lambda ds, **kw: classify_relevance(ds, "x2", **kw), ("eps",)),
+    "is_markov_blanket": (lambda ds, **kw: is_markov_blanket(ds, "x4", ["x1"], **kw), ("eps",)),
+    "find_minimal_markov_blankets": (
+        lambda ds, **kw: find_minimal_markov_blankets(ds, "x4", **kw), ("eps",)),
+    "minimal_sufficient_subsets": (minimal_sufficient_subsets, ("eps", "lagrange")),
+    "analyze": (analyze, ("eps", "lagrange")),
+}
+
+
+@pytest.mark.parametrize("name,param,value", [
+    (name, param, value)
+    for name, (_, params) in STRUCTURE_CALLS.items() for param in params
+    for value in (float("nan"), float("inf"), float("-inf"))])
+def test_structure_parameters_must_be_finite(name, param, value):
+    """Every structure analysis rejects a non-finite eps, and a non-finite
+    lagrange where it takes one, before it decides anything."""
+    _, ds = example1()
+    call, _ = STRUCTURE_CALLS[name]
+    with pytest.raises(ValueError, match="must be finite"):
+        call(ds, **{param: value})
+
+
 class TestAnalyze:
     @pytest.mark.parametrize("param", [{"eps": float("nan")}, {"eps": float("inf")},
                                        {"lagrange": float("nan")},
