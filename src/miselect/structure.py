@@ -1,9 +1,11 @@
 """Exact structural analyses on small feature sets.
 
-Relevance-level classification, Markov-blanket checks and discovery, and
-sufficient-subset analysis via the mutual-information deficit.  All of
-these enumerate conditioning subsets exhaustively, so they are limited to
-small numbers of features.
+Relevance levels, Markov blankets and sufficient subsets (by the
+mutual-information deficit).  By the chain rule, for R = F \\ f \\ M,
+I(f; C u R | M) = I(f; R | M) + I(f; C | F \\ f): so F \\ f is a Markov
+blanket of f exactly when f is not strongly relevant, and a strongly
+relevant feature has no blanket.  The other answers come from exhaustive
+walks over subsets, so all of these are limited to small feature sets.
 """
 
 from __future__ import annotations
@@ -71,11 +73,13 @@ class StructureReport:
 
 
 def _check(ds: _d.Dataset | None, eps: float, lagrange: float | None = None):
-    """Reject a non-finite eps or lagrange, and a dataset (when given) too wide
-    to enumerate its subsets."""
+    """Reject a non-finite or negative eps, a non-finite lagrange, and a
+    dataset (when given) too wide to enumerate its subsets."""
     for name, value in (("epsilon", eps), ("lagrange", lagrange)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    if eps < 0:
+        raise ValueError(f"epsilon must be non-negative, got {eps}")
     if ds is not None and ds.m > MAX_EXHAUSTIVE_FEATURES:
         raise ValueError(
             f"exhaustive structural analysis is limited to "
@@ -92,18 +96,17 @@ def _subsets(items):
 def classify_relevance(ds: _d.Dataset, f: str, eps: float = EXACT_EPS) -> RelevanceLevel:
     """Classify `f` as strongly relevant, weakly relevant or irrelevant.
 
-    Strong: I(f;C | all other features) > eps.  Weak: some conditioning
-    subset S has I(f;C|S) > eps (the smallest such S is the witness).
-    Irrelevant otherwise.  Exhaustive over all 2^(m-1) subsets.
+    Strong: the other features are no Markov blanket of `f`.  Weak: some
+    subset S of them has I(f;C|S) > eps; the first by increasing size is
+    the witness.  Irrelevant otherwise.
     """
     _check(ds, eps)
     ds.codes(f)  # validates the name
     rest = [v for v in ds.feature_names if v != f]
-    target = [ds.target_name]
-    if _d.conditional_mutual_information(ds, [f], target, rest) > eps:
+    if not is_markov_blanket(ds, f, rest, eps):
         return RelevanceLevel(STRONGLY_RELEVANT)
     for S in _subsets(rest):
-        if _d.conditional_mutual_information(ds, [f], target, list(S)) > eps:
+        if _d.conditional_mutual_information(ds, [f], [ds.target_name], list(S)) > eps:
             return RelevanceLevel(WEAKLY_RELEVANT, witness=tuple(S))
     return RelevanceLevel(IRRELEVANT)
 
@@ -125,10 +128,13 @@ def find_minimal_markov_blankets(ds: _d.Dataset, f: str,
                                  eps: float = EXACT_EPS) -> list[tuple[str, ...]]:
     """All inclusion-minimal Markov blankets of `f`, by increasing size.
 
-    Strongly relevant features have none.
+    A strongly relevant feature has none, so the subsets of the other
+    features are walked only when all of them together are a blanket.
     """
     _check(ds, eps)
     rest = [v for v in ds.feature_names if v != f]
+    if not is_markov_blanket(ds, f, rest, eps):
+        return []
     found: list[tuple[str, ...]] = []
     for M in _subsets(rest):
         if any(set(prev) <= set(M) for prev in found):
@@ -138,24 +144,43 @@ def find_minimal_markov_blankets(ds: _d.Dataset, f: str,
     return found
 
 
-def _full_mi(ds: _d.Dataset) -> float:
-    """I(F;C) over all features."""
-    return _d.mutual_information(ds, list(ds.feature_names), [ds.target_name])
+def _mi_with_class(ds: _d.Dataset, S) -> float:
+    """I(S;C), 0 for the empty S."""
+    return _d.mutual_information(ds, list(S), [ds.target_name]) if S else 0.0
 
 
-def _default_lagrange(ds: _d.Dataset, full: float, eps: float) -> float:
-    return ds.m / full if full > eps else 1.0
-
-
-def _dmi(ds: _d.Dataset, S, full: float) -> tuple[float, float]:
-    """I(S;C) and the deficit I(F;C) - I(S;C), clipped at 0."""
-    part = _d.mutual_information(ds, list(S), [ds.target_name]) if S else 0.0
-    return part, max(clip_zero(full - part), 0.0)
+def _deficit(full: float, part: float) -> float:
+    """The deficit I(F;C) - I(S;C), clipped at 0."""
+    return max(clip_zero(full - part), 0.0)
 
 
 def dmi(ds: _d.Dataset, S) -> float:
     """Mutual-information deficit of S: I(F;C) - I(S;C); 0 iff S suffices."""
-    return _dmi(ds, list(S), _full_mi(ds))[1]
+    return _deficit(_mi_with_class(ds, ds.feature_names), _mi_with_class(ds, list(S)))
+
+
+def _sufficiency(ds: _d.Dataset, eps: float, lagrange: float | None):
+    """I(F;C), the Lagrange multiplier (default m / I(F;C)) and every
+    minimum-cardinality subset whose deficit is within eps, walked by size."""
+    _check(ds, eps, lagrange)
+    full = _mi_with_class(ds, ds.feature_names)
+    if lagrange is None:
+        lagrange = ds.m / full if full > eps else 1.0
+    results: list[SufficientSubset] = []
+    for S in _subsets(ds.feature_names):
+        if results and len(S) > len(results[0].features):
+            break
+        part = _mi_with_class(ds, S)
+        deficit = _deficit(full, part)
+        if deficit <= eps:
+            results.append(SufficientSubset(
+                features=S,
+                dmi=deficit,
+                mi_with_class=part,
+                lagrangian=len(S) - lagrange * part,
+                selected_info=_d.entropy(ds, list(S)) if S else 0.0,
+            ))
+    return full, lagrange, results
 
 
 def minimal_sufficient_subsets(ds: _d.Dataset, eps: float = EXACT_EPS,
@@ -166,46 +191,20 @@ def minimal_sufficient_subsets(ds: _d.Dataset, eps: float = EXACT_EPS,
     objective |S| - lambda * I(S;C) so that any sufficient subset beats any
     insufficient one.
     """
-    _check(ds, eps, lagrange)
-    full = _full_mi(ds)
-    if lagrange is None:
-        lagrange = _default_lagrange(ds, full, eps)
-    return _minimal_sufficient_subsets(ds, eps, lagrange, full)
-
-
-def _minimal_sufficient_subsets(ds: _d.Dataset, eps: float, lagrange: float,
-                                full: float) -> list[SufficientSubset]:
-    results: list[SufficientSubset] = []
-    for S in _subsets(ds.feature_names):
-        if results and len(S) > len(results[0].features):
-            break
-        part, deficit = _dmi(ds, S, full)
-        if deficit <= eps:
-            results.append(SufficientSubset(
-                features=S,
-                dmi=deficit,
-                mi_with_class=part,
-                lagrangian=len(S) - lagrange * part,
-                selected_info=_d.entropy(ds, list(S)) if S else 0.0,
-            ))
-    return results
+    return _sufficiency(ds, eps, lagrange)[2]
 
 
 def analyze(ds: _d.Dataset, eps: float = EXACT_EPS,
             lagrange: float | None = None) -> StructureReport:
     """Full structural report: relevance levels, blankets, sufficient subsets."""
-    _check(ds, eps, lagrange)
-    relevance = {f: classify_relevance(ds, f, eps) for f in ds.feature_names}
-    blankets = {f: tuple(find_minimal_markov_blankets(ds, f, eps))
-                for f in ds.feature_names}
-    full = _full_mi(ds)
-    if lagrange is None:
-        lagrange = _default_lagrange(ds, full, eps)
+    full, lagrange, sufficient = _sufficiency(ds, eps, lagrange)
+    F = ds.feature_names
+    parts = _d.mutual_information_row(ds, F, [ds.target_name])
     return StructureReport(
-        relevance=relevance,
-        markov_blankets=blankets,
-        sufficient_subsets=tuple(_minimal_sufficient_subsets(ds, eps, lagrange, full)),
-        dmi_per_feature={f: _dmi(ds, [f], full)[1] for f in ds.feature_names},
+        relevance={f: classify_relevance(ds, f, eps) for f in F},
+        markov_blankets={f: tuple(find_minimal_markov_blankets(ds, f, eps)) for f in F},
+        sufficient_subsets=tuple(sufficient),
+        dmi_per_feature={f: _deficit(full, part) for f, part in zip(F, parts)},
         epsilon=eps,
         lagrange_multiplier=lagrange,
     )

@@ -154,6 +154,12 @@ class TestAnalyze:
         assert rc == 4
         assert "must be finite" in capsys.readouterr().err
 
+    def test_negative_epsilon_exit_4(self, ex1_csv, capsys):
+        rc = run(["analyze", ex1_csv, "--target", "C", "--quantizer", "pass-through",
+                  "--epsilon", "-1"])
+        assert rc == 4
+        assert "epsilon must be non-negative" in capsys.readouterr().err
+
 
 class TestBounds:
     def test_json_table(self, ex1_csv, tmp_path):

@@ -1,5 +1,6 @@
-"""Golden reports: every CLI report, a few full-precision traces and the
-per-call information measures, byte for byte.
+"""Golden reports: every CLI report, a few full-precision traces, a
+full-precision structure report on sampled data and the per-call
+information measures, byte for byte.
 
 The inputs and expected outputs live in tests/golden/.  To rebuild them
 (only after a deliberate change of output), run from the repository root:
@@ -17,7 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from miselect import CriterionSpec, example1, load_csv, QuantizerSpec
+from miselect import (CriterionSpec, QuantizerSpec, SyntheticSpec, analyze, example1,
+                      generate, load_csv)
 from miselect import data as mdata
 from miselect import info
 from miselect.cli import main
@@ -29,6 +31,7 @@ GEN = GOLDEN / "gen.csv"        # 13 binary columns, n=400, 10% label noise
 REAL = GOLDEN / "real.csv"      # 300 rows, 8 real-valued columns, string label
 TRUTH = GOLDEN / "truth.csv"    # exhaustive truth table, m=6
 PER_CALL = GOLDEN / "per-call-values.json"
+SAMPLED12 = GOLDEN / "analyze-sampled12.json"
 
 INT = ["--quantizer", "pass-through"]
 
@@ -185,6 +188,14 @@ def _per_call_values() -> dict[str, float]:
     }
 
 
+def _sampled12_report() -> str:
+    """`analyze` at full precision on m=12 sampled data, where plug-in bias
+    makes every feature strongly relevant and no feature has a blanket."""
+    ds, _ = generate(SyntheticSpec(n=2000, relevant=2, xor_groups=1, noise=8,
+                                   flip_prob=0.05, seed=3))
+    return json.dumps(analyze(ds).to_dict(), indent=2, sort_keys=True) + "\n"
+
+
 def _run_cli(argv, out: Path) -> bytes:
     assert main(argv + ["--out", str(out)]) == 0
     return out.read_bytes()
@@ -206,6 +217,10 @@ def test_per_call_measures_match_golden():
     """Every per-call H, H(T|G), I and CMI, to the last bit (float.hex)."""
     got = {name: value.hex() for name, value in _per_call_values().items()}
     assert got == json.loads(PER_CALL.read_text())
+
+
+def test_analyze_on_sampled_data_matches_golden():
+    assert _sampled12_report() == SAMPLED12.read_text()
 
 
 def _write_inputs(tmp: Path):
@@ -241,6 +256,7 @@ def regenerate():
         (GOLDEN / name).write_text(trace.to_json(indent=2) + "\n")
     values = {name: value.hex() for name, value in _per_call_values().items()}
     PER_CALL.write_text(json.dumps(values, indent=1) + "\n")
+    SAMPLED12.write_text(_sampled12_report())
 
 
 if __name__ == "__main__":

@@ -1,20 +1,24 @@
 """Property tests for the information measures, the shared counting kernel,
-the pair cache's rows, and the composites the joint criteria reuse within a
-search step."""
+the pair cache's rows, the composites the joint criteria reuse within a
+search step, and the structure analyses against exhaustive walks."""
 
 import math
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from miselect import (CriterionSpec, Dataset, composite_view, empirical_distribution,
-                      forward_select, plus_l_take_away_r, score, score_all)
+from miselect import (CriterionSpec, Dataset, RelevanceLevel, StructureReport, analyze,
+                      composite_view, empirical_distribution, forward_select,
+                      plus_l_take_away_r, score, score_all)
 from miselect import data as mdata
 from miselect import info, search
 from miselect.criteria import PairCache
+from miselect.structure import (IRRELEVANT, STRONGLY_RELEVANT, WEAKLY_RELEVANT,
+                                SufficientSubset)
 
 from conftest import random_distribution
 
@@ -541,3 +545,81 @@ def test_joint_scores_equal_per_call_measures_on_larger_data(size):
     joint = {f: mdata.mutual_information(ds, S + [f], c) for f in cands}
     assert score_all(CriterionSpec("md"), cands, S, ds).scores == joint
     assert score_all(CriterionSpec("mmd"), cands, S, ds).scores == _mmd(ds, cands, joint)
+
+
+# The exhaustive structure walks, each subset tested by its own per-call
+# measure: the reference the analyses are compared against.
+
+def _all_subsets(items):
+    return [S for size in range(len(items) + 1) for S in combinations(items, size)]
+
+
+def _reference_relevance(ds, f, eps):
+    rest, c = [v for v in ds.feature_names if v != f], [ds.target_name]
+    if mdata.conditional_mutual_information(ds, [f], c, rest) > eps:
+        return RelevanceLevel(STRONGLY_RELEVANT)
+    for S in _all_subsets(rest):
+        if mdata.conditional_mutual_information(ds, [f], c, list(S)) > eps:
+            return RelevanceLevel(WEAKLY_RELEVANT, witness=S)
+    return RelevanceLevel(IRRELEVANT)
+
+
+def _reference_blankets(ds, f, eps):
+    """Every inclusion-minimal M with I(f; C u (F \\ f \\ M) | M) <= eps,
+    testing all 2^(m-1) subsets of the other features."""
+    rest, found = [v for v in ds.feature_names if v != f], []
+    for M in _all_subsets(rest):
+        if any(set(prev) <= set(M) for prev in found):
+            continue
+        block = [ds.target_name] + [v for v in rest if v not in M]
+        if mdata.conditional_mutual_information(ds, [f], block, list(M)) <= eps:
+            found.append(M)
+    return tuple(found)
+
+
+def _reference_sufficiency(ds, eps):
+    """The default multiplier, the minimum-cardinality subsets with deficit
+    within eps, and the deficit of each feature alone."""
+    F, c = list(ds.feature_names), [ds.target_name]
+    full = mdata.mutual_information(ds, F, c)
+    lagrange = ds.m / full if full > eps else 1.0
+
+    def part(S):
+        return mdata.mutual_information(ds, list(S), c) if S else 0.0
+
+    def deficit(S):
+        return max(info.clip_zero(full - part(S)), 0.0)
+
+    found = [S for S in _all_subsets(F) if deficit(S) <= eps]
+    found = [S for S in found if len(S) == len(found[0])]  # F itself is always found
+    sufficient = tuple(
+        SufficientSubset(S, deficit(S), part(S), len(S) - lagrange * part(S),
+                         mdata.entropy(ds, list(S)) if S else 0.0)
+        for S in found)
+    return lagrange, sufficient, {f: deficit([f]) for f in F}
+
+
+@st.composite
+def structure_datasets(draw):
+    n, m = draw(st.integers(1, 60)), draw(st.integers(2, 6))
+    cards = [draw(st.integers(1, 3)) for _ in range(m + 1)]
+    cols = [draw(st.lists(st.integers(0, card - 1), min_size=n, max_size=n))
+            for card in cards]
+    feats = np.array(cols[:m], dtype=np.int64).T.reshape(n, m)
+    return Dataset(feats, np.array(cols[m], dtype=np.int64), tuple(cards[:m]),
+                   cards[m], tuple(f"f{j}" for j in range(m)), "y")
+
+
+@SETTINGS
+@given(structure_datasets(), st.sampled_from([0.0, 1e-9, 0.05]))
+def test_analyze_equals_exhaustive_reference(ds, eps):
+    """`analyze` equals the exhaustive walks, and under those walks no
+    strongly relevant feature has a Markov blanket."""
+    relevance = {f: _reference_relevance(ds, f, eps) for f in ds.feature_names}
+    blankets = {f: _reference_blankets(ds, f, eps) for f in ds.feature_names}
+    lagrange, sufficient, dmis = _reference_sufficiency(ds, eps)
+    reference = StructureReport(relevance, blankets, sufficient, dmis, eps, lagrange)
+    assert analyze(ds, eps).to_dict() == reference.to_dict()
+    for f, level in relevance.items():
+        if level.level == STRONGLY_RELEVANT:
+            assert blankets[f] == (), f

@@ -16,6 +16,7 @@ from miselect import (
     minimal_sufficient_subsets,
 )
 from miselect import data as mdata
+from miselect import structure as mstructure
 from miselect.structure import IRRELEVANT, STRONGLY_RELEVANT, WEAKLY_RELEVANT
 
 from conftest import H_C, I_X1_C
@@ -97,6 +98,22 @@ class TestMarkovBlanket:
     def test_strongly_relevant_has_no_blanket(self):
         _, ds = example1()
         assert find_minimal_markov_blankets(ds, "x2") == []
+
+    def test_strongly_relevant_tests_one_blanket(self, monkeypatch):
+        # x2 is strongly relevant, so the other features are no blanket and
+        # neither is any subset of them: one test decides both
+        _, ds = example1()
+        calls = []
+        test = mstructure.is_markov_blanket
+
+        def counting(ds, f, M, eps):
+            calls.append((f, tuple(M)))
+            return test(ds, f, M, eps)
+
+        monkeypatch.setattr(mstructure, "is_markov_blanket", counting)
+        assert classify_relevance(ds, "x2").level == STRONGLY_RELEVANT
+        assert find_minimal_markov_blankets(ds, "x2") == []
+        assert calls == [("x2", ("x1", "x3", "x4"))] * 2
 
     def test_two_feature_duplication(self):
         feats = np.array([[0, 0], [1, 1]])
@@ -189,13 +206,15 @@ STRUCTURE_CALLS = {
 @pytest.mark.parametrize("name,param,value", [
     (name, param, value)
     for name, (_, params) in STRUCTURE_CALLS.items() for param in params
-    for value in (float("nan"), float("inf"), float("-inf"))])
+    for value in (float("nan"), float("inf"), float("-inf"))
+] + [(name, "eps", -1.0) for name in STRUCTURE_CALLS])
 def test_structure_parameters_must_be_finite(name, param, value):
-    """Every structure analysis rejects a non-finite eps, and a non-finite
-    lagrange where it takes one, before it decides anything."""
+    """Every structure analysis rejects a non-finite or negative eps, and a
+    non-finite lagrange where it takes one, before it decides anything."""
     _, ds = example1()
     call, _ = STRUCTURE_CALLS[name]
-    with pytest.raises(ValueError, match="must be finite"):
+    message = "must be non-negative" if value == -1.0 else "must be finite"
+    with pytest.raises(ValueError, match=message):
         call(ds, **{param: value})
 
 
