@@ -15,6 +15,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from . import data as _d
+from . import info as _info
 
 KINDS = ("mim", "mifs", "mrmr", "jmi", "cife", "cmifs",
          "cmim", "cmim2", "icap", "md", "mmd")
@@ -108,12 +109,12 @@ class PairCache:
         cols = self._cols[np.isnan(row[self._cols])]
         if len(cols):
             names = [self.ds.feature_names[j] for j in cols]
-            tables = list(_d._row_tables(self.ds, names, y, z))
-            row[cols] = _d._row_values(tables)
+            tables = list(_info._row_tables(self.ds._table, names, [y, z]))
+            row[cols] = _info._row_values(tables)
             if plain is not None:
                 mi = self._pair_row("I(f;s)", plain)
                 fresh = np.isnan(mi[cols])
-                mi[cols[fresh]] = _d._row_values(rows.marginal() for rows in tables)[fresh]
+                mi[cols[fresh]] = _info._row_values(rows.marginal() for rows in tables)[fresh]
         return row[self._cols]
 
     def relevance(self) -> np.ndarray:
@@ -195,35 +196,30 @@ SPARSE_SUPPORT_FRACTION = 5
 def _joint_scores(spec: CriterionSpec, cand: list[str], S: tuple[str, ...],
                   ds: _d.Dataset) -> list[float]:
     """The MD or MMD score of each candidate f: I(S + f; C), less I(rest; C)
-    under MMD, where rest is the features outside S + f.  S is coded once;
-    a lone candidate's rest is coded on its own, and for several the rests
-    are the leave-one-out views of the features outside S."""
+    under MMD, where rest is the features outside S + f; each term is one row
+    over the candidates.  S is coded once; a lone candidate's rest is coded on
+    its own, and for several the rests are leave-one-out views."""
     if not cand:
         return []
     target = [ds.target_name]
-    head = [_d.View(*_d.composite_view(ds, S))] if S else []
-    joint = [_d.mutual_information(ds, head + [f], target) for f in cand]
-    if spec.kind == "md":
-        return joint
+    head = (_d.View(*_d.composite_view(ds, S)),) if S else ()
+    joint = _d.mutual_information_row(ds, [head + (f,) for f in cand], target)
     outside = [v for v in ds.feature_names if v not in S]
+    if spec.kind == "md" or outside == cand[:1]:   # MD, or a lone f with no rest
+        return joint
     if len(cand) > 1:
         views = dict(zip(outside, _d.leave_one_out_views(ds, outside)))
     else:
-        rest = [v for v in outside if v != cand[0]]
-        views = {cand[0]: _d.View(*_d.composite_view(ds, rest)) if rest else None}
-    scores = []
-    for f, value in zip(cand, joint):
-        view = views[f]
-        if view is not None:
-            if view.support > ds.n / SPARSE_SUPPORT_FRACTION:
-                rest = [v for v in outside if v != f]
-                warnings.warn(
-                    f"MMD complement set {rest} has sparse support "
-                    f"({view.support} distinct tuples over {ds.n} samples); "
-                    "its plug-in MI estimate may be unreliable")
-            value -= _d.mutual_information(ds, [view], target)
-        scores.append(value)
-    return scores
+        views = {cand[0]: _d.View(*_d.composite_view(ds, [v for v in outside if v != cand[0]]))}
+    for f in cand:
+        if views[f].support > ds.n / SPARSE_SUPPORT_FRACTION:
+            rest = [v for v in outside if v != f]
+            warnings.warn(
+                f"MMD complement set {rest} has sparse support "
+                f"({views[f].support} distinct tuples over {ds.n} samples); "
+                "its plug-in MI estimate may be unreliable")
+    rests = _d.mutual_information_row(ds, [(views[f],) for f in cand], target)
+    return [value - rest for value, rest in zip(joint, rests)]
 
 
 def score(spec: CriterionSpec, f: str, S, ds: _d.Dataset,
@@ -238,6 +234,8 @@ def score_all(spec: CriterionSpec, candidates, S, ds: _d.Dataset,
               cache: PairCache | None = None) -> ScoreBoard:
     """Score every candidate; evaluation order never affects the values."""
     S = tuple(S)
+    if len(set(S)) < len(S):
+        raise ValueError(f"selected set repeats {[s for s in S if S.count(s) > 1][0]!r}")
     cand = list(dict.fromkeys(candidates))
     if set(cand) & set(S):
         raise ValueError("candidates and selected set overlap")

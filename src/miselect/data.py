@@ -1,4 +1,5 @@
-"""Dataset ingestion, quantization and empirical distributions."""
+"""Dataset ingestion, quantization, empirical distributions, and the plug-in
+measures: each a row of the one counting kernel, `info._row_tables`."""
 
 from __future__ import annotations
 
@@ -265,12 +266,13 @@ class View:
     """A precomputed composite (codes, support), such as `composite_view` gives.
 
     In a variable group of `mutual_information`, `conditional_mutual_information`
-    or `entropy`, a View stands for the columns it was built from, at its
-    place in the group: as a whole Z group, say, or as the leading columns
-    of an X group.  The value is then equal, bit for bit, to the one over
-    the columns, because the view's codes order the rows as the columns'
-    mixed-radix code does.  Views compare by identity, so one never equals
-    a column name.
+    or `entropy`, or as a candidate of `mutual_information_row` or in a group
+    candidate there, a View stands for the columns it was built from, at its
+    place in the group: as a whole Z group, say, or as the leading columns of
+    an X group.  The value is then equal, bit for bit, to the one over the
+    columns, because the view's codes order the rows as the columns'
+    mixed-radix code does.  Views compare by identity, so one never equals a
+    column name.
     """
 
     codes: np.ndarray
@@ -306,43 +308,24 @@ def empirical_distribution(ds: Dataset, vars) -> JointDistribution:
 
 def mutual_information(ds: Dataset, x, y) -> float:
     """Plug-in I(X;Y) in bits; X and Y are disjoint sets of columns or Views."""
-    return _info._conditional_mutual_information(ds._table, x, y)
+    return _info._measure(ds._table, x, y)
 
 
 def conditional_mutual_information(ds: Dataset, x, y, z) -> float:
     """Plug-in I(X;Y|Z) in bits; empty Z reduces to mutual_information."""
-    return _info._conditional_mutual_information(ds._table, x, y, z)
+    return _info._measure(ds._table, x, y, z)
 
 
 def entropy(ds: Dataset, vars) -> float:
     """Plug-in H(vars) in bits."""
-    return _info._measure(ds._table, _info._h_terms, *_info._check_disjoint(vars))
-
-
-def _row_tables(ds: Dataset, candidates, y, z=()):
-    """The joint of (f, Y, Z) for each candidate column f, counted a block
-    at a time (`info._row_tables`), after checking every candidate's groups
-    as the per-call measures do."""
-    cands = list(candidates)
-    ys, zs = _info._check_disjoint(y, z)
-    if not ys:
-        raise ValueError("information measures need nonempty variable sets")
-    fixed = set(ys) | set(zs)
-    for f in cands:
-        if f in fixed:
-            raise ValueError(f"variable sets overlap on {f!r}")
-    return _info._row_tables(ds._table, cands, [g for g in (ys, zs) if g])
+    return _info._measure(ds._table, vars, terms=_info._h_terms)
 
 
 def mutual_information_row(ds: Dataset, candidates, y, z=()) -> list[float]:
-    """Plug-in I(f;Y|Z) for each candidate column f, or I(f;Y) for empty Z.
+    """Plug-in I(f;Y|Z) for each candidate f, or I(f;Y) for empty Z.
 
-    Equal, bit for bit, to `conditional_mutual_information(ds, [f], y, z)`
-    for each f, but counts a block of candidates in one pass.
+    A candidate is a column or View, or a tuple of them.  Equal, bit for bit,
+    to `conditional_mutual_information(ds, f, y, z)` for each (`[f]` for a
+    column or View), but counts a block of candidates in one pass.
     """
-    return _row_values(_row_tables(ds, candidates, y, z)).tolist()
-
-
-def _row_values(tables) -> np.ndarray:
-    """The values of `_row_tables`' blocks, as one float64 vector."""
-    return np.concatenate([rows.values() for rows in tables] or [np.empty(0)])
+    return _info._row_values(_info._row_tables(ds._table, list(candidates), [y, z])).tolist()

@@ -20,11 +20,13 @@ def _as_vars(vars) -> tuple[str, ...]:
 
 def _check_codes(columns, cards, names) -> None:
     """Raise unless each of `columns`, 1-D arrays of n >= 1 codes of the named
-    columns, holds integer or bool codes in [0, card).  A column of Python ints
-    past int64 (an object array) is out of range.  Reads each column's minimum
-    and maximum, copies nothing."""
+    columns, holds integer or bool codes in [0, card) for an integer card.  A
+    column of Python ints past int64 (an object array) is out of range.  Reads
+    each column's minimum and maximum, copies nothing."""
     kinds = [col.dtype.kind for col in columns]
-    for kind, col, name in zip(kinds, columns, names):
+    for kind, col, card, name in zip(kinds, columns, cards, names):
+        if not isinstance(card, (int, np.integer)):
+            raise ValueError(f"non-integer cardinality {card!r} of column {name!r}")
         ints = kind in "biu" or kind == "O" and all(isinstance(v, (int, np.integer)) for v in col)
         if not ints:
             raise ValueError(f"non-integer codes in column {name!r}")

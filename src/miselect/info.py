@@ -2,7 +2,8 @@
 
 These measures and their plug-in twins in `miselect.data` are each a row of
 one counting kernel (`_row_tables`) over a table of rows, weighted or not,
-finished by `_Rows.values` over the nonzero cells only.
+finished by `_Rows.values` over the nonzero cells only: a per-call measure is
+the row of one candidate, its X group.
 """
 
 from __future__ import annotations
@@ -294,55 +295,64 @@ def _rows(cells, counts, cards, radix, parts, table) -> _Rows:
 
 
 def _row_tables(table, candidates, groups):
-    """The joint of (f, *groups) for each candidate column f, as one `_Rows`
-    per block of candidates, each counted in one pass over its layout.
+    """The joint of (f, *groups) for each candidate f, as one `_Rows` per
+    block of candidates, each counted in one pass: the one place anything is
+    counted.  A candidate is a column (a name or a View), or a tuple of them
+    coded into one with `_code` and checked as a per-call measure's X group is.
 
-    A block of a table with planes whose tables hold at most PLANE_CELLS
-    cells per candidate is counted by popcount over them, reading no codes;
-    any other by `bincount`.  Both give the same counts of the same cells.
+    A block of named columns of a table with planes whose tables hold at most
+    PLANE_CELLS cells per candidate is counted by popcount over them, reading
+    no codes; any other by `bincount`.  Both give the same counts.
     """
+    groups = _check_disjoint(*groups)
+    groups = groups[:1] + [grp for grp in groups[1:] if grp]   # I(f;Y|{}) is I(f;Y)
+    fixed = set().union(*groups)
+    for x in candidates:
+        if x in fixed or isinstance(x, tuple) and (len(set(x)) < len(x)
+                                                   or not fixed.isdisjoint(x)):
+            _check_disjoint(x, *groups)
     g, radix, parts = _layout(table, groups)
     per_block = max(1, BLOCK_CODES // table.n)
     for i in range(0, len(candidates), per_block):
-        names = candidates[i:i + per_block]
-        cards = [table.card(f) for f in names] if table.planes else None
-        if cards and sum(cards) * radix <= PLANE_CELLS * len(names):
-            cells, counts = _count_planes(np.concatenate([table.planes(f) for f in names]),
+        block = candidates[i:i + per_block]
+        columns = table.planes and all(isinstance(f, str) for f in block)
+        cards = [table.card(f) for f in block] if columns else None
+        if cards and sum(cards) * radix <= PLANE_CELLS * len(block):
+            cells, counts = _count_planes(np.concatenate([table.planes(f) for f in block]),
                                           g, radix)
         else:
-            cells, counts, cards = _count_codes([table.column(f) for f in names],
-                                                g, radix, table.n, table.weights)
+            cols = [_code([table.column(v) for v in f], table.n) if isinstance(f, tuple)
+                    else table.column(f) for f in block]
+            cells, counts, cards = _count_codes(cols, g, radix, table.n, table.weights)
         yield _rows(cells, counts, cards, radix, parts, table)
 
 
-def _measure(table, terms, x, *groups) -> float:
-    """The sum of `terms` over the joint of group X and the groups: a row of
-    one candidate, the columns of X coded into one column."""
-    col = _code([table.column(v) for v in x], table.n)
-    g, radix, parts = _layout(table, groups)
-    cells, counts, cards = _count_codes([col], g, radix, table.n, table.weights)
-    return float(_rows(cells, counts, cards, radix, parts, table).values(terms)[0])
+def _row_values(tables) -> np.ndarray:
+    """The values of `_row_tables`' blocks, as one float64 vector."""
+    return np.concatenate([rows.values() for rows in tables] or [np.empty(0)])
 
 
-def _conditional_mutual_information(table, x, y, z=()) -> float:
-    xs, ys, zs = _check_disjoint(x, y, z)
-    return _measure(table, _cmi_terms, xs, ys, zs) if zs else _measure(table, _mi_terms, xs, ys)
+def _measure(table, x, *groups, terms=None) -> float:
+    """The sum of `terms` over the joint of group X and the groups (by
+    default I(X;Y|Z) or I(X;Y)): the row of one candidate, X."""
+    return float(next(_row_tables(table, [_as_vars(x)], groups)).values(terms)[0])
 
 
 def entropy(dist: JointDistribution, vars) -> float:
     """H(vars): -sum p log2 p over the marginal; 0*log 0 := 0."""
-    return _measure(dist._table, _h_terms, *_check_disjoint(vars))
+    return _measure(dist._table, vars, terms=_h_terms)
 
 
 def conditional_entropy(dist: JointDistribution, target, given) -> float:
     """H(target | given) = sum p(t,g) log2( p(g) / p(t,g) )."""
-    t, g = _check_disjoint(target, given)
-    return _measure(dist._table, _ch_terms, t, g) if g else _measure(dist._table, _h_terms, t)
+    g = _as_vars(given)
+    return (_measure(dist._table, target, g, terms=_ch_terms) if g
+            else _measure(dist._table, target, terms=_h_terms))
 
 
 def mutual_information(dist: JointDistribution, x, y) -> float:
     """I(X;Y) = sum p(x,y) log2( p(x,y) / (p(x) p(y)) ); symmetric, >= 0."""
-    return _conditional_mutual_information(dist._table, x, y)
+    return _measure(dist._table, x, y)
 
 
 def conditional_mutual_information(dist: JointDistribution, x, y, z) -> float:
@@ -350,7 +360,7 @@ def conditional_mutual_information(dist: JointDistribution, x, y, z) -> float:
 
     Empty Z reduces to I(X;Y).
     """
-    return _conditional_mutual_information(dist._table, x, y, z)
+    return _measure(dist._table, x, y, z)
 
 
 def _conditional_interaction(dist, groups, cond) -> float:

@@ -87,12 +87,6 @@ def _check(ds: _d.Dataset | None, eps: float, lagrange: float | None = None):
             "use the greedy criteria for larger problems")
 
 
-def _subsets(items):
-    """Every subset of `items`, the empty one first, by increasing size."""
-    for size in range(len(items) + 1):
-        yield from combinations(items, size)
-
-
 def classify_relevance(ds: _d.Dataset, f: str, eps: float = EXACT_EPS) -> RelevanceLevel:
     """Classify `f` as strongly relevant, weakly relevant or irrelevant.
 
@@ -101,13 +95,13 @@ def classify_relevance(ds: _d.Dataset, f: str, eps: float = EXACT_EPS) -> Releva
     the witness.  Irrelevant otherwise.
     """
     _check(ds, eps)
-    ds.codes(f)  # validates the name
     rest = [v for v in ds.feature_names if v != f]
     if not is_markov_blanket(ds, f, rest, eps):
         return RelevanceLevel(STRONGLY_RELEVANT)
-    for S in _subsets(rest):
-        if _d.conditional_mutual_information(ds, [f], [ds.target_name], list(S)) > eps:
-            return RelevanceLevel(WEAKLY_RELEVANT, witness=tuple(S))
+    for size in range(len(rest) + 1):
+        for S in combinations(rest, size):
+            if _d.conditional_mutual_information(ds, [f], [ds.target_name], list(S)) > eps:
+                return RelevanceLevel(WEAKLY_RELEVANT, witness=S)
     return RelevanceLevel(IRRELEVANT)
 
 
@@ -117,8 +111,6 @@ def is_markov_blanket(ds: _d.Dataset, f: str, M, eps: float = EXACT_EPS) -> bool
     M = tuple(M)
     if f in M:
         raise ValueError(f"candidate blanket contains {f!r}")
-    for v in M:
-        ds.codes(v)
     rest = [v for v in ds.feature_names if v != f and v not in M]
     block = [ds.target_name] + rest
     return _d.conditional_mutual_information(ds, [f], block, list(M)) <= eps
@@ -133,15 +125,20 @@ def find_minimal_markov_blankets(ds: _d.Dataset, f: str,
     """
     _check(ds, eps)
     rest = [v for v in ds.feature_names if v != f]
-    if not is_markov_blanket(ds, f, rest, eps):
-        return []
+    return _blankets(ds, f, rest, eps) if is_markov_blanket(ds, f, rest, eps) else []
+
+
+def _blankets(ds: _d.Dataset, f: str, rest, eps: float) -> list[tuple[str, ...]]:
+    """The inclusion-minimal blankets of an `f` by increasing size, given that
+    the other features `rest` are one: `rest` itself is not tested again."""
     found: list[tuple[str, ...]] = []
-    for M in _subsets(rest):
-        if any(set(prev) <= set(M) for prev in found):
-            continue
-        if is_markov_blanket(ds, f, M, eps):
-            found.append(tuple(M))
-    return found
+    for size in range(len(rest)):
+        for M in combinations(rest, size):
+            if any(set(prev) <= set(M) for prev in found):
+                continue
+            if is_markov_blanket(ds, f, M, eps):
+                found.append(M)
+    return found or [tuple(rest)]
 
 
 def _mi_with_class(ds: _d.Dataset, S) -> float:
@@ -161,25 +158,28 @@ def dmi(ds: _d.Dataset, S) -> float:
 
 def _sufficiency(ds: _d.Dataset, eps: float, lagrange: float | None):
     """I(F;C), the Lagrange multiplier (default m / I(F;C)) and every
-    minimum-cardinality subset whose deficit is within eps, walked by size."""
+    minimum-cardinality subset whose deficit is within eps, by size: one row
+    of I(S;C) over the subsets of each size."""
     _check(ds, eps, lagrange)
     full = _mi_with_class(ds, ds.feature_names)
     if lagrange is None:
         lagrange = ds.m / full if full > eps else 1.0
     results: list[SufficientSubset] = []
-    for S in _subsets(ds.feature_names):
-        if results and len(S) > len(results[0].features):
+    for size in range(ds.m + 1):
+        subsets = list(combinations(ds.feature_names, size))
+        parts = _d.mutual_information_row(ds, subsets, [ds.target_name]) if size else [0.0]
+        for S, part in zip(subsets, parts):
+            deficit = _deficit(full, part)
+            if deficit <= eps:
+                results.append(SufficientSubset(
+                    features=S,
+                    dmi=deficit,
+                    mi_with_class=part,
+                    lagrangian=len(S) - lagrange * part,
+                    selected_info=_d.entropy(ds, list(S)) if S else 0.0,
+                ))
+        if results:
             break
-        part = _mi_with_class(ds, S)
-        deficit = _deficit(full, part)
-        if deficit <= eps:
-            results.append(SufficientSubset(
-                features=S,
-                dmi=deficit,
-                mi_with_class=part,
-                lagrangian=len(S) - lagrange * part,
-                selected_info=_d.entropy(ds, list(S)) if S else 0.0,
-            ))
     return full, lagrange, results
 
 
@@ -196,13 +196,16 @@ def minimal_sufficient_subsets(ds: _d.Dataset, eps: float = EXACT_EPS,
 
 def analyze(ds: _d.Dataset, eps: float = EXACT_EPS,
             lagrange: float | None = None) -> StructureReport:
-    """Full structural report: relevance levels, blankets, sufficient subsets."""
+    """Full structural report: relevance levels, blankets, sufficient subsets.
+    Blankets are walked only for features that are not strongly relevant."""
     full, lagrange, sufficient = _sufficiency(ds, eps, lagrange)
     F = ds.feature_names
+    relevance = {f: classify_relevance(ds, f, eps) for f in F}
     parts = _d.mutual_information_row(ds, F, [ds.target_name])
     return StructureReport(
-        relevance={f: classify_relevance(ds, f, eps) for f in F},
-        markov_blankets={f: tuple(find_minimal_markov_blankets(ds, f, eps)) for f in F},
+        relevance=relevance,
+        markov_blankets={f: () if relevance[f].level == STRONGLY_RELEVANT
+                         else tuple(_blankets(ds, f, [v for v in F if v != f], eps)) for f in F},
         sufficient_subsets=tuple(sufficient),
         dmi_per_feature={f: _deficit(full, part) for f, part in zip(F, parts)},
         epsilon=eps,

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from miselect import CriterionSpec, example1, forward_select, score, score_all
+from miselect import CriterionSpec, Dataset, example1, forward_select, score, score_all
 from miselect import data as mdata
 from miselect import info
-from miselect.criteria import PairCache
+from miselect.criteria import KINDS, PairCache
 
 from conftest import I_X1_C, MRMR_X4_GIVEN_X1, random_dataset
 
@@ -135,6 +137,36 @@ class TestScoreAll:
         _, ds = example1()
         with pytest.raises(ValueError, match="overlap"):
             score_all(CriterionSpec("mim"), ["x1", "x2"], ["x1"], ds)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_repeated_selected_feature_rejected(self, kind):
+        """A selected set that names a feature twice would count it twice in
+        MIFS's beta and the redundancy sums: every kind rejects it."""
+        X = np.random.default_rng(0).integers(0, 3, (200, 3))
+        ds = Dataset(X, (X[:, 0] + X[:, 1]) % 2, (3, 3, 3), 2, ("a", "b", "c"), "y")
+        spec = CriterionSpec(kind, beta=1.0 if kind == "mifs" else None)
+        with pytest.raises(ValueError, match="selected set repeats 'b'"):
+            score_all(spec, ["a", "c"], ["b", "b"], ds)
+        with pytest.raises(ValueError, match="selected set repeats 'b'"):
+            score(spec, "a", ["b", "c", "b"], ds)
+
+    def test_joint_scores_are_rows(self, monkeypatch):
+        """An MD step is one row over its candidates and an MMD step two, the
+        joints and the complements, with no per-candidate measure, whether
+        it scores one candidate or several."""
+        ds = random_dataset(np.random.default_rng(4), n=200, m=6)
+        calls = []
+        for name in ("mutual_information", "conditional_mutual_information",
+                     "mutual_information_row"):
+            monkeypatch.setattr(mdata, name, lambda *args, real=getattr(mdata, name), name=name:
+                                calls.append(name) or real(*args))
+        for kind, rows in (("md", 1), ("mmd", 2)):
+            for cands in (["f2", "f3", "f4", "f5"], ["f3"]):
+                calls.clear()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    score_all(CriterionSpec(kind), cands, ["f0", "f1"], ds)
+                assert calls == ["mutual_information_row"] * rows, (kind, cands)
 
     def test_empty_candidates_empty_board(self):
         _, ds = example1()
@@ -315,10 +347,10 @@ class TestPairCache:
         # f0 comes back as a candidate against f1: (f0, f1), cached with f1
         # as X, is not recomputed with f0 as X; only missing pairs are filled
         seen = []
-        rows = mdata._row_tables
-        monkeypatch.setattr(mdata, "_row_tables",
-                            lambda ds_, cands, y, z=(): seen.append((cands, y))
-                            or rows(ds_, cands, y, z))
+        rows = info._row_tables
+        monkeypatch.setattr(info, "_row_tables",
+                            lambda table, cands, groups: seen.append((cands, groups[0]))
+                            or rows(table, cands, groups))
         score_all(CriterionSpec("mrmr"), ["f0", "f2", "f3"], ["f1"], ds, cache)
         assert _pair(cache, "I(f;s)", "f1", "f0") == first
         assert seen == [(["f0"], ["y"]), (["f2", "f3"], ["f1"])]

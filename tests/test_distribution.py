@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,23 @@ def test_int_code_past_int64_is_out_of_range(state, name):
 def test_numpy_integer_states_accepted():
     d = JointDistribution(("x",), (2,), {(np.int64(0),): 0.5, (np.int8(1),): 0.5})
     assert d.marginal_mass("x") == {(0,): 0.5, (1,): 0.5}
+
+
+@pytest.mark.parametrize("card", [2.5, 2.0])
+@pytest.mark.parametrize("build,name", [
+    (lambda card: Dataset(np.array([[0, 1], [1, 0]]), np.array([0, 1]), (card, 2), 2,
+                          ("a", "b"), "y"), "a"),
+    (lambda card: Dataset(np.array([[0, 1], [1, 0]]), np.array([0, 1]), (2, 2), card,
+                          ("a", "b"), "y"), "y"),
+    (lambda card: JointDistribution(("a", "b"), (card, 2), {(0, 0): 0.5, (1, 1): 0.5}), "a"),
+])
+def test_non_integer_cardinality_rejected(build, name, card):
+    """A float cardinality, even an integral one, is rejected with its
+    column named, by a Dataset and by a distribution; a numpy one passes."""
+    with pytest.raises(ValueError, match=re.escape(f"non-integer cardinality {card!r} "
+                                                   f"of column {name!r}")):
+        build(card)
+    build(np.int64(2))
 
 
 def test_duplicate_names_rejected():

@@ -1,8 +1,11 @@
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import miselect
 from miselect import (
     JointDistribution,
     conditional_entropy,
@@ -273,3 +276,31 @@ def test_relabeling_invariance():
             conditional_mutual_information(d, "v0", "v1", "v2"), abs=1e-12)
         assert interaction_information(d2, [["v0"], ["v1"], ["v2"]]) == pytest.approx(
             interaction_information(d, [["v0"], ["v1"], ["v2"]]), abs=1e-12)
+
+
+# The counting kernel's steps, which only `info._row_tables` may call: every
+# H, I and CMI, per call or as a row, is counted there.
+KERNEL_STEPS = {"_count_codes", "_count_planes", "_layout", "_rows"}
+
+
+def _kernel_references(tree):
+    """(top-level name, kernel step) for each reference to a kernel step in a
+    module: a bare name, `info.step` or `_info.step`, or an imported name."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                name = node.attr if node.value.id in ("info", "_info") else None
+            else:
+                name = node.name if isinstance(node, ast.alias) else None
+            if name in KERNEL_STEPS:
+                yield getattr(top, "name", None), name
+
+
+def test_counting_has_one_entry_point():
+    found = {}
+    for path in sorted(Path(miselect.__file__).parent.glob("*.py")):
+        for where, name in _kernel_references(ast.parse(path.read_text(encoding="utf-8"))):
+            found.setdefault((path.name, where), set()).add(name)
+    assert found == {("info.py", "_row_tables"): KERNEL_STEPS}

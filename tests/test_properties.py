@@ -122,23 +122,45 @@ def test_kernel_matches_loop_reference(case):
 
 
 @st.composite
+def group_candidate(draw, ds, columns):
+    """A tuple of one to three of `columns`, where a View of the next one or
+    two columns may stand in for them."""
+    cols = draw(st.lists(st.sampled_from(columns), min_size=1, max_size=3, unique=True))
+    group = []
+    while cols:
+        width = draw(st.integers(0, min(2, len(cols))))   # 0: the column itself
+        group.append(mdata.View(*composite_view(ds, cols[:width])) if width else cols[0])
+        cols = cols[max(width, 1):]
+    return tuple(group)
+
+
+@st.composite
 def rows(draw):
     """A dataset, fixed groups Y and Z (Z maybe empty), candidates from the
-    other columns, and a block size that splits them into one or more blocks."""
+    other columns, each a column or a group of them (`group_candidate`), and
+    a block size that splits them into one or more blocks."""
     ds = draw(datasets())
     names = draw(st.permutations(list(ds.feature_names) + [ds.target_name]))
     a = draw(st.integers(1, min(2, len(names) - 1)))
     b = draw(st.integers(a, min(a + 2, len(names) - 1)))
-    cands = names[b:]
+    others = names[b:]
+    cands = draw(st.lists(st.one_of(st.sampled_from(others), group_candidate(ds, others)),
+                          min_size=1, max_size=8, unique=True))
     block = draw(st.sampled_from([1, ds.n, 2 * ds.n, info.BLOCK_CODES]))
     return ds, cands, names[:a], names[a:b], block
+
+
+def _x(f):
+    """The X group of the per-call measure that a row candidate stands for."""
+    return list(f) if isinstance(f, tuple) else [f]
 
 
 @SETTINGS
 @given(rows())
 def test_rows_equal_per_call_measures(case):
     """Each batched value is the per-call I(f;Y|Z) bit for bit, across
-    blocks holding candidates of mixed cardinalities, some past n."""
+    blocks holding candidates of mixed cardinalities, some past n, and
+    groups of columns and Views."""
     ds, cands, y, z, block = case
     saved = info.BLOCK_CODES
     info.BLOCK_CODES = block
@@ -146,7 +168,7 @@ def test_rows_equal_per_call_measures(case):
         got = mdata.mutual_information_row(ds, cands, y, z)
     finally:
         info.BLOCK_CODES = saved
-    assert got == [mdata.conditional_mutual_information(ds, [f], y, z) for f in cands]
+    assert got == [mdata.conditional_mutual_information(ds, _x(f), y, z) for f in cands]
 
 
 @pytest.mark.parametrize("block", [1, 3 * 4000, info.BLOCK_CODES])
@@ -164,8 +186,10 @@ def test_rows_equal_per_call_measures_on_larger_data(block, monkeypatch):
                  tuple(f"f{j}" for j in range(len(cards))), "y")
     c, s, s1 = ds.target_name, "f2", "f0"
     cands = [f for f in ds.feature_names if f not in (s, s1)]
+    view = mdata.View(*composite_view(ds, cands[:2]))
+    cands += list(combinations(cands[:6], 2)) + [(view, "f9"), (view,), view, tuple(cands[4:7])]
     for y, z in (([c], []), ([s], []), ([s], [c]), ([c], [s]), ([s], [s1])):
-        want = [mdata.conditional_mutual_information(ds, [f], y, z) for f in cands]
+        want = [mdata.conditional_mutual_information(ds, _x(f), y, z) for f in cands]
         assert mdata.mutual_information_row(ds, cands, y, z) == want, (y, z)
 
 
@@ -246,9 +270,11 @@ def test_pair_cache_rows_equal_per_call_measures(ds, plane_cells, block, given_f
        st.sampled_from([0.0, 0.5]), st.sampled_from([1, info.BLOCK_CODES]), st.booleans())
 def test_weighted_rows_equal_exact_measures(seed, cards, sparsity, block, given_z):
     """Rows over an exact distribution's weighted table, a block or one
-    candidate at a time, equal the per-call exact measures by ==."""
+    candidate at a time, equal the per-call exact measures by ==, for
+    candidates that are variables or groups of them."""
     dist = random_distribution(np.random.default_rng(seed), cards, sparsity=sparsity)
     *cands, y = dist.variables[:-1] if given_z else dist.variables
+    cands += [group for size in (2, 3) for group in combinations(cands, size)]
     groups = [[y], [dist.variables[-1]]] if given_z else [[y]]
     saved, info.BLOCK_CODES = info.BLOCK_CODES, block
     try:
@@ -256,8 +282,8 @@ def test_weighted_rows_equal_exact_measures(seed, cards, sparsity, block, given_
                               info._row_tables(dist._table, cands, groups)]).tolist()
     finally:
         info.BLOCK_CODES = saved
-    assert got == [info.conditional_mutual_information(dist, [f], *groups) if given_z
-                   else info.mutual_information(dist, [f], groups[0]) for f in cands]
+    assert got == [info.conditional_mutual_information(dist, _x(f), *groups) if given_z
+                   else info.mutual_information(dist, _x(f), groups[0]) for f in cands]
 
 
 def test_summed_out_counts_keep_candidates_apart():

@@ -176,6 +176,21 @@ class TestMinimalSufficientSubsets:
         subsets = [s.features for s in minimal_sufficient_subsets(noise)]
         assert subsets == [()]
 
+    def test_one_row_per_subset_size(self, monkeypatch):
+        """I(S;C) over all subsets of one size is one row, up to the first
+        size with a sufficient subset (3 of example1's 4 features)."""
+        _, ds = example1()
+        rows, single = [], []
+        row, mi = mdata.mutual_information_row, mdata.mutual_information
+        monkeypatch.setattr(mdata, "mutual_information_row",
+                            lambda ds_, cands, y: rows.append(list(cands)) or row(ds_, cands, y))
+        monkeypatch.setattr(mdata, "mutual_information",
+                            lambda ds_, x, y: single.append(list(x)) or mi(ds_, x, y))
+        assert len(minimal_sufficient_subsets(ds)) == 2
+        assert [len(cands) for cands in rows] == [4, 6, 4]
+        assert all(len(S) == size for size, cands in enumerate(rows, 1) for S in cands)
+        assert single == [list(ds.feature_names)]     # I(F;C), once
+
     def test_lagrangian_reported(self):
         _, ds = example1()
         results = minimal_sufficient_subsets(ds, lagrange=2.0)
@@ -252,6 +267,22 @@ class TestAnalyze:
         assert len(full) == 1
         assert report.dmi_per_feature == {f: dmi(ex1_with_noise, [f])
                                           for f in ex1_with_noise.feature_names}
+
+    def test_other_features_tested_once_per_feature(self, ex1_with_noise, monkeypatch):
+        """One test of F \\ f per feature decides strong relevance and
+        whether there are blankets to walk; no walk tests F \\ f again."""
+        F = ex1_with_noise.feature_names
+        calls = []
+        test = mstructure.is_markov_blanket
+
+        def counting(ds, f, M, eps):
+            calls.append((f, tuple(M)))
+            return test(ds, f, M, eps)
+
+        monkeypatch.setattr(mstructure, "is_markov_blanket", counting)
+        analyze(ex1_with_noise)
+        full = [f for f, M in calls if set(M) == set(F) - {f}]
+        assert sorted(full) == sorted(F)
 
     def test_report_serializes(self, ex1_with_noise):
         doc = analyze(ex1_with_noise).to_dict()
