@@ -168,7 +168,11 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def _encode_column(raw: tuple[str, ...], name: str, spec: QuantizerSpec) -> tuple[np.ndarray, int]:
+def _encode_column(raw, name: str, spec: QuantizerSpec) -> tuple[np.ndarray, int]:
+    """Codes of a column: its float64 values as the C pass read them (all
+    finite), or its raw tokens."""
+    if isinstance(raw, np.ndarray):
+        return quantize_column(raw, spec)
     try:
         # one pass with float() semantics: surrounding whitespace, digit
         # separators and non-ASCII digits parse as they do there
@@ -181,19 +185,111 @@ def _encode_column(raw: tuple[str, ...], name: str, spec: QuantizerSpec) -> tupl
     return quantize_column(numeric, spec)
 
 
-def _encode_tokens(raw: tuple[str, ...], name: str) -> tuple[np.ndarray, int]:
+def _encode_tokens(raw, name: str) -> tuple[np.ndarray, int]:
     """Label codes of a column that does not parse as numbers, or the error
     of a numeric column with a missing value."""
     stripped = [v.strip() for v in raw]
     if "" in stripped:
         raise ValueError(f"missing value in column {name!r}")
     words = sorted(v for v in set(stripped) if not _is_number(v))
-    if all(w.lower() in MISSING_TOKENS for w in words):
+    if words and all(w.lower() in MISSING_TOKENS for w in words):
         raise ValueError(f"missing value {words[0]!r} in numeric column {name!r}")
     # string column: deterministic lexicographic label encoding
     labels = sorted(set(stripped))
     table = {lab: i for i, lab in enumerate(labels)}
     return np.array([table[v] for v in stripped], dtype=np.int64), len(labels)
+
+
+def _check_header(header, target_name: str) -> list[str]:
+    """The stripped column names, or the error of a header load_csv rejects."""
+    if header is None:
+        raise ValueError("empty CSV file")
+    header = [h.strip() for h in header]
+    if len(set(header)) < len(header):
+        repeated = next(h for i, h in enumerate(header) if h in header[:i])
+        raise ValueError(f"column name {repeated!r} repeated in header")
+    if target_name not in header:
+        raise ValueError(f"target column {target_name!r} not found in header")
+    if len(header) == 1:
+        raise ValueError("CSV has no feature columns")
+    return header
+
+
+def _read_rows(path, target_name: str) -> tuple[list[str], dict]:
+    """Header and token columns read by the csv module: the reference reading,
+    and the one whose errors load_csv reports."""
+    # utf-8-sig drops a byte-order mark, which would hide the first header
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            rows = list(reader)
+        except csv.Error as exc:
+            raise ValueError(f"CSV line {reader.line_num}: {exc}") from None
+    header = _check_header(header, target_name)
+    if not rows:
+        raise ValueError("CSV has a header but no data rows")
+    width = len(header)
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"ragged row {i + 2}: expected {width} fields, got {len(row)}")
+    return header, dict(zip(header, zip(*rows)))
+
+
+# The ASCII file, group, record and unit separators: loadtxt's number parser
+# skips them as whitespace, and float() does not.
+_NOT_SPACE_TO_FLOAT = "\x1c\x1d\x1e\x1f"
+_LOADTXT = dict(delimiter=",", quotechar='"', comments=None, ndmin=2)
+
+
+def _token_collector(tokens: list):
+    """A loadtxt converter that keeps each raw token and reads it as 0.0."""
+    def convert(token):
+        tokens.append(token)
+        return 0.0
+    return convert
+
+
+def _read_numbers(path, target_name: str):
+    """Header and columns from one `np.loadtxt` pass over the body, or None
+    where that pass might read the file otherwise than `_read_rows` does.
+
+    A column whose first value is a number comes back as float64 from
+    numpy's C parser, with no Python object per field; the raw tokens of
+    every other column are kept for `_encode_tokens`.  Besides loadtxt
+    raising nothing, the pass needs:
+    - no blank line, which loadtxt skips and csv reports as a ragged row;
+    - one record per line, since a line end inside quotes is lost when the
+      body is split into lines;
+    - no line longer than `csv.field_size_limit()`, which loadtxt does not
+      enforce;
+    - every number finite, since the error of a non-finite one names its
+      token.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header = next(csv.reader(fh), None)
+            body = fh.read()
+    except (csv.Error, UnicodeDecodeError):
+        return None
+    lines = body.split("\n")
+    n = len(lines) - (lines[-1] == "")
+    if (n == 0 or any(c in body for c in _NOT_SPACE_TO_FLOAT)
+            or "" in lines[:n] or "\r" in lines
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    try:
+        first = np.loadtxt(lines[:1], dtype=object, **_LOADTXT)[0]
+        tokens = {j: [] for j, token in enumerate(first) if not _is_number(token)}
+        values = np.loadtxt(lines, dtype=np.float64, **_LOADTXT,
+                            converters={j: _token_collector(t) for j, t in tokens.items()})
+    except ValueError:
+        return None
+    if values.shape != (n, len(header)) or not np.isfinite(values).all():
+        return None
+    header = _check_header(header, target_name)
+    return header, {name: tokens[j] if j in tokens else values[:, j]
+                    for j, name in enumerate(header)}
 
 
 def load_csv(path, target_name: str,
@@ -206,32 +302,12 @@ def load_csv(path, target_name: str,
     non-finite value (nan, inf) or a missing-value token (MISSING_TOKENS,
     such as NA) is rejected, and so is a line the csv module cannot parse,
     a header that repeats a name, or one that holds only the target.
+
+    The body is read in one C pass (`_read_numbers`); a file that pass cannot
+    vouch for is read again, row by row, by the csv module (`_read_rows`),
+    which gives the same result and reports the errors.
     """
-    # utf-8-sig drops a byte-order mark, which would hide the first header
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            rows = list(reader)
-        except csv.Error as exc:
-            raise ValueError(f"CSV line {reader.line_num}: {exc}") from None
-    if header is None:
-        raise ValueError("empty CSV file")
-    header = [h.strip() for h in header]
-    if len(set(header)) < len(header):
-        repeated = next(h for i, h in enumerate(header) if h in header[:i])
-        raise ValueError(f"column name {repeated!r} repeated in header")
-    if target_name not in header:
-        raise ValueError(f"target column {target_name!r} not found in header")
-    if len(header) == 1:
-        raise ValueError("CSV has no feature columns")
-    if not rows:
-        raise ValueError("CSV has a header but no data rows")
-    width = len(header)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"ragged row {i + 2}: expected {width} fields, got {len(row)}")
-    columns = dict(zip(header, zip(*rows)))
+    header, columns = _read_numbers(path, target_name) or _read_rows(path, target_name)
     feat_names = [h for h in header if h != target_name]
     codes = []
     cards = []

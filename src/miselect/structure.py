@@ -92,13 +92,14 @@ def classify_relevance(ds: _d.Dataset, f: str, eps: float = EXACT_EPS) -> Releva
 
     Strong: the other features are no Markov blanket of `f`.  Weak: some
     subset S of them has I(f;C|S) > eps; the first by increasing size is
-    the witness.  Irrelevant otherwise.
+    the witness.  Irrelevant otherwise.  The blanket test of `rest` is
+    I(f;C|rest), so the walk stops short of S = rest, which it has tested.
     """
     _check(ds, eps)
     rest = [v for v in ds.feature_names if v != f]
     if not is_markov_blanket(ds, f, rest, eps):
         return RelevanceLevel(STRONGLY_RELEVANT)
-    for size in range(len(rest) + 1):
+    for size in range(len(rest)):
         for S in combinations(rest, size):
             if _d.conditional_mutual_information(ds, [f], [ds.target_name], list(S)) > eps:
                 return RelevanceLevel(WEAKLY_RELEVANT, witness=S)

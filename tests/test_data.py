@@ -1,4 +1,5 @@
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -197,6 +198,97 @@ class TestLoadCsv:
         ds = load_csv(p, "C", QuantizerSpec("pass-through"))
         assert ds.feature_cards[ds.column_index("a")] == 1
         assert mdata.mutual_information(ds, ["a"], ["C"]) == 0.0
+
+
+class TestCsvFastPassGuards:
+    """`load_csv` reads the body of a CSV in one `np.loadtxt` pass, and reads
+    it again with the csv module where that pass would read it differently.
+    Each case is one such difference; the results are the csv module's."""
+
+    @staticmethod
+    def _write(tmp_path, text):
+        p = tmp_path / "data.csv"
+        p.write_text(text, encoding="utf-8", newline="")
+        return p
+
+    @pytest.mark.parametrize("text, row", [("a,C\n1,0\n\n2,1\n", 3),
+                                           ("a,C\n1,0\n2,1\n\n", 4),
+                                           ("a,C\r\n1,0\r\n\r\n2,1\r\n", 3)])
+    def test_blank_line_is_a_ragged_row(self, tmp_path, text, row):
+        with pytest.raises(ValueError, match=f"^ragged row {row}: expected 2 fields, got 0$"):
+            load_csv(self._write(tmp_path, text), "C")
+
+    @pytest.mark.parametrize("end", ["\r", "\r\n"])
+    def test_carriage_return_line_ends(self, tmp_path, end):
+        text = end.join(["a,b,C", "10,red,0", "9,blue,1", "2,red,1", ""])
+        ds = load_csv(self._write(tmp_path, text), "C")
+        assert ds.n == 3 and ds.feature_cards == (3, 2) and ds.class_card == 2
+        assert list(ds.features[:, 0]) == [2, 1, 0]
+        assert list(ds.features[:, 1]) == [1, 0, 1]
+        assert list(ds.class_codes) == [0, 1, 1]
+
+    @pytest.mark.parametrize("quoted, other", [('"x,y"', "x;y"), ('"x""y"', "x#y"),
+                                               ('"two\nlines"', "twoa")])
+    def test_quoted_label(self, tmp_path, quoted, other):
+        """The quoted label sorts before `other` only as the csv module reads
+        it: with its comma, with one quote, with its newline."""
+        text = f"a,b,C\n1,{quoted},0\n2,{other},1\n3,{quoted},0\n"
+        ds = load_csv(self._write(tmp_path, text), "C")
+        assert ds.n == 3 and ds.feature_cards == (3, 2)
+        assert list(ds.features[:, 1]) == [0, 1, 0]
+
+    @pytest.mark.parametrize("field", ["x", "0"])
+    def test_field_larger_than_limit_names_the_line(self, tmp_path, field):
+        """A label, or a number the C parser would read, past
+        `csv.field_size_limit()`."""
+        big = field * csv.field_size_limit() + "1"
+        text = f"a,b,C\n{field},1,0\n{big},2,1\n"
+        with pytest.raises(ValueError, match="^CSV line 3: field larger than field limit"):
+            load_csv(self._write(tmp_path, text), "C")
+
+    def test_number_then_word_is_label_encoded(self, tmp_path):
+        ds = load_csv(self._write(tmp_path, "a,C\n10,0\nred,1\n9,0\n"), "C")
+        assert ds.feature_cards == (3,) and list(ds.features[:, 0]) == [0, 2, 1]
+
+    @pytest.mark.parametrize("control", ["\x00", "\x1c", "\x1f"])
+    def test_number_beside_a_control_character_is_a_label(self, tmp_path, control):
+        """numpy's parser skips the separators \\x1c-\\x1f as whitespace and
+        float() does not, so "9\\x1f" is a word and the column labels."""
+        ds = load_csv(self._write(tmp_path, f"a,C\n10,0\n9{control},1\n2,0\n"), "C")
+        assert ds.feature_cards == (3,) and list(ds.features[:, 0]) == [0, 2, 1]
+
+    @pytest.mark.parametrize("text", ["a,C\n", "a,C"])
+    def test_header_without_rows(self, tmp_path, text):
+        with pytest.raises(ValueError, match="^CSV has a header but no data rows$"):
+            load_csv(self._write(tmp_path, text), "C")
+
+    def test_one_data_row(self, tmp_path):
+        ds = load_csv(self._write(tmp_path, "a,b,C\n1.5,red,0\n"), "C")
+        assert ds.n == 1 and ds.feature_cards == (1, 1) and ds.class_card == 1
+
+    def test_plain_numeric_csv_is_read_in_one_c_pass(self, tmp_path, monkeypatch):
+        """Real-valued columns and a string label, as the CLI's usual input,
+        take the C pass: the csv module reads the header line and no more."""
+        rng = np.random.default_rng(0)
+        values = rng.normal(size=(200, 4))
+        labels = np.where(values[:, 0] > 0.5, "high", np.where(values[:, 0] < -0.5, "low", "mid"))
+        lines = ["v0,v1,v2,v3,label"] + [",".join(map(repr, map(float, row))) + "," + lab
+                                         for row, lab in zip(values, labels)]
+        p = self._write(tmp_path, "\n".join(lines) + "\n")
+        with mock.patch.object(mdata, "_read_numbers", return_value=None):
+            want = load_csv(p, "label")
+        reader = csv.reader
+
+        def header_only(*args, **kwargs):
+            rows = reader(*args, **kwargs)
+            yield next(rows)
+            raise AssertionError("the csv module read past the header")
+
+        monkeypatch.setattr(csv, "reader", header_only)
+        got = load_csv(p, "label")
+        assert np.array_equal(got.features, want.features)
+        assert np.array_equal(got.class_codes, want.class_codes)
+        assert got.feature_cards == want.feature_cards == (5,) * 4 and got.class_card == 3
 
 
 class TestDataset:

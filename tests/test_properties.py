@@ -1,19 +1,22 @@
 """Property tests for the information measures, the shared counting kernel,
 the pair cache's rows, the composites the joint criteria reuse within a
-search step, and the structure analyses against exhaustive walks."""
+search step, the structure analyses against exhaustive walks, and CSV
+loading against the csv module's reading."""
 
 import math
+import warnings
 from collections import Counter
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from miselect import (CriterionSpec, Dataset, RelevanceLevel, StructureReport, analyze,
-                      composite_view, empirical_distribution, forward_select,
-                      plus_l_take_away_r, score, score_all)
+from miselect import (CriterionSpec, Dataset, QuantizerSpec, RelevanceLevel, StructureReport,
+                      analyze, composite_view, empirical_distribution, forward_select,
+                      load_csv, plus_l_take_away_r, score, score_all)
 from miselect import data as mdata
 from miselect import info, search
 from miselect.criteria import PairCache
@@ -649,3 +652,68 @@ def test_analyze_equals_exhaustive_reference(ds, eps):
     for f, level in relevance.items():
         if level.level == STRONGLY_RELEVANT:
             assert blankets[f] == (), f
+
+
+# Pieces of CSV text: number parts, quoting and line ends, the missing-value
+# and non-finite tokens, a word, a non-ASCII digit (which float() reads and
+# numpy's C parser does not), NUL and a separator control (which the C parser
+# skips around a number and float() does not).
+CSV_PIECES = tuple("0123456789.e-_,\" \t\r\n\x00\x1f") + ("NA", "nan", "red", "٣")
+
+
+@st.composite
+def csv_texts(draw):
+    """A CSV text whose columns draw numbers or words.  Half the texts are
+    plain: a valid header, rows as wide as it, `\\n` or `\\r\\n` line ends.  The
+    others may repeat or lack a name, end lines with a bare `\\r`, add blank
+    lines, and hold fields and rows built from `CSV_PIECES`."""
+    plain = draw(st.booleans())
+    header = draw(st.sampled_from(["a,C", "a,b,C", "C,a,b"] + ([] if plain else ["a,a,C", "a,b"])))
+    numbers = st.sampled_from(["0", "1", "-1.5", "2.5e1", " 3 ", "\t4", '"5"'])
+    words = st.sampled_from(["red", "blue", " red ", "NA", '"a,b"', '"x""y"', '"p\nq"'])
+    noisy = st.one_of(numbers, words, st.sampled_from(["1_0", "٣", "nan", ""]),
+                      st.lists(st.sampled_from(CSV_PIECES), max_size=4).map("".join))
+    width = header.count(",") + 1
+    columns = draw(st.lists(st.sampled_from([numbers, words] if plain else [numbers, words, noisy]),
+                            min_size=width, max_size=width))
+    rows = st.tuples(*columns).map(",".join)
+    if not plain:
+        rows = st.one_of(rows, st.lists(noisy, max_size=width + 1).map(",".join))
+    body = draw(st.lists(rows, min_size=1, max_size=8))
+    end = draw(st.sampled_from(["\n", "\r\n"] + ([] if plain else ["\r"])))
+    last = draw(st.sampled_from([end, ""] + ([] if plain else [end + end])))
+    return header + end + end.join(body) + last
+
+
+def _load_or_error(path, spec):
+    try:
+        return load_csv(path, "C", spec)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("strategy", ["equal-width", "equal-frequency", "pass-through"])
+@settings(max_examples=150, deadline=None)
+@given(text=csv_texts(), bins=st.integers(2, 3))
+def test_load_csv_equals_csv_module_reading(tmp_path_factory, strategy, bins, text):
+    """`load_csv` gives what reading every row with the csv module gives:
+    the same codes, cardinalities, names and meta, or the same error."""
+    path = tmp_path_factory.getbasetemp() / "property.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    spec = QuantizerSpec(strategy, bins)
+    with warnings.catch_warnings(), \
+            mock.patch.object(mdata, "_read_rows", wraps=mdata._read_rows) as csv_module:
+        warnings.simplefilter("error")
+        got = _load_or_error(path, spec)
+    event("csv module" if csv_module.called else "C pass")
+    with mock.patch.object(mdata, "_read_numbers", return_value=None):
+        want = _load_or_error(path, spec)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    for attr in ("features", "class_codes"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr))
+        assert getattr(got, attr).dtype == getattr(want, attr).dtype
+    for attr in ("feature_cards", "class_card", "feature_names", "target_name", "meta"):
+        assert getattr(got, attr) == getattr(want, attr)

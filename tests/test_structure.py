@@ -47,6 +47,21 @@ class TestClassifyRelevance:
     def test_noise_is_irrelevant(self, ex1_with_noise):
         assert classify_relevance(ex1_with_noise, "x5").level == IRRELEVANT
 
+    def test_other_features_measured_once(self, ex1_with_noise, monkeypatch):
+        """I(x5;C|F\\x5) decides strong relevance and is not measured again
+        as the last subset of the weak-relevance walk: 1 + 15 measures."""
+        calls = []
+        cmi = mdata.conditional_mutual_information
+
+        def counting(ds, x, y, z):
+            calls.append(tuple(z))
+            return cmi(ds, x, y, z)
+
+        monkeypatch.setattr(mdata, "conditional_mutual_information", counting)
+        assert classify_relevance(ex1_with_noise, "x5").level == IRRELEVANT
+        assert len(calls) == 16
+        assert calls.count(("x1", "x2", "x3", "x4")) == 1
+
     def test_invariant_to_column_order(self):
         _, ds = example1()
         reordered = Dataset(
