@@ -14,6 +14,7 @@ import numpy as np
 
 from .data import Dataset
 from .distribution import JointDistribution
+from .structure import MAX_EXHAUSTIVE_FEATURES
 
 GENERATOR_NAME = "numpy-pcg64"
 
@@ -39,6 +40,12 @@ class SyntheticSpec:
         if any(v < 0 for v in (self.relevant, self.xor_groups,
                                self.redundant_copies, self.noise)):
             raise ValueError("counts must be non-negative")
+        base = self.relevant + 2 * self.xor_groups + self.noise
+        if self.exhaustive and base > MAX_EXHAUSTIVE_FEATURES:
+            raise ValueError(
+                f"an exhaustive table of {base} base columns (relevant + 2*xor_groups"
+                f" + noise) has 2**{base} = {2 ** base:,} rows; at most"
+                f" {MAX_EXHAUSTIVE_FEATURES} base columns are allowed")
         if not self.exhaustive and self.n < 1:
             raise ValueError("n must be >= 1 when sampling")
 

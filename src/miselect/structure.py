@@ -4,8 +4,11 @@ Relevance levels, Markov blankets and sufficient subsets (by the
 mutual-information deficit).  By the chain rule, for R = F \\ f \\ M,
 I(f; C u R | M) = I(f; R | M) + I(f; C | F \\ f): so F \\ f is a Markov
 blanket of f exactly when f is not strongly relevant, and a strongly
-relevant feature has no blanket.  The other answers come from exhaustive
-walks over subsets, so all of these are limited to small feature sets.
+relevant feature has no blanket.  A blanket M also gives I(f; C | S) <=
+I(f; C u R | M) <= eps for every S from M up to F \\ f, so no such S is a
+weak-relevance witness or a further minimal blanket: one walk over the
+subsets of F \\ f, skipping them, finds both.  The walks are exhaustive,
+so all of these are limited to small feature sets.
 """
 
 from __future__ import annotations
@@ -92,18 +95,11 @@ def classify_relevance(ds: _d.Dataset, f: str, eps: float = EXACT_EPS) -> Releva
 
     Strong: the other features are no Markov blanket of `f`.  Weak: some
     subset S of them has I(f;C|S) > eps; the first by increasing size is
-    the witness.  Irrelevant otherwise.  The blanket test of `rest` is
-    I(f;C|rest), so the walk stops short of S = rest, which it has tested.
+    the witness.  Irrelevant otherwise.  Read from the walk that also finds
+    the blankets of `f`, so a weakly relevant `f` pays for its blankets.
     """
     _check(ds, eps)
-    rest = [v for v in ds.feature_names if v != f]
-    if not is_markov_blanket(ds, f, rest, eps):
-        return RelevanceLevel(STRONGLY_RELEVANT)
-    for size in range(len(rest)):
-        for S in combinations(rest, size):
-            if _d.conditional_mutual_information(ds, [f], [ds.target_name], list(S)) > eps:
-                return RelevanceLevel(WEAKLY_RELEVANT, witness=S)
-    return RelevanceLevel(IRRELEVANT)
+    return _walk(ds, f, eps)[0]
 
 
 def is_markov_blanket(ds: _d.Dataset, f: str, M, eps: float = EXACT_EPS) -> bool:
@@ -119,27 +115,31 @@ def is_markov_blanket(ds: _d.Dataset, f: str, M, eps: float = EXACT_EPS) -> bool
 
 def find_minimal_markov_blankets(ds: _d.Dataset, f: str,
                                  eps: float = EXACT_EPS) -> list[tuple[str, ...]]:
-    """All inclusion-minimal Markov blankets of `f`, by increasing size.
-
-    A strongly relevant feature has none, so the subsets of the other
-    features are walked only when all of them together are a blanket.
-    """
+    """All inclusion-minimal Markov blankets of `f`, by increasing size;
+    none for a strongly relevant `f` (see `_walk`)."""
     _check(ds, eps)
+    return _walk(ds, f, eps)[1]
+
+
+def _walk(ds: _d.Dataset, f: str, eps: float) -> tuple[RelevanceLevel, list[tuple[str, ...]]]:
+    """The level of `f` and its minimal blankets by increasing size.  Past
+    the test of F \\ f, supersets of a blanket found are skipped, and I(f;C|M)
+    is measured only while no witness is known and M is no blanket."""
     rest = [v for v in ds.feature_names if v != f]
-    return _blankets(ds, f, rest, eps) if is_markov_blanket(ds, f, rest, eps) else []
-
-
-def _blankets(ds: _d.Dataset, f: str, rest, eps: float) -> list[tuple[str, ...]]:
-    """The inclusion-minimal blankets of an `f` by increasing size, given that
-    the other features `rest` are one: `rest` itself is not tested again."""
-    found: list[tuple[str, ...]] = []
+    if not is_markov_blanket(ds, f, rest, eps):
+        return RelevanceLevel(STRONGLY_RELEVANT), []
+    witness, found = None, []
     for size in range(len(rest)):
         for M in combinations(rest, size):
             if any(set(prev) <= set(M) for prev in found):
                 continue
             if is_markov_blanket(ds, f, M, eps):
                 found.append(M)
-    return found or [tuple(rest)]
+            elif witness is None and _d.conditional_mutual_information(
+                    ds, [f], [ds.target_name], list(M)) > eps:
+                witness = M
+    level = IRRELEVANT if witness is None else WEAKLY_RELEVANT
+    return RelevanceLevel(level, witness), found or [tuple(rest)]
 
 
 def _mi_with_class(ds: _d.Dataset, S) -> float:
@@ -198,15 +198,14 @@ def minimal_sufficient_subsets(ds: _d.Dataset, eps: float = EXACT_EPS,
 def analyze(ds: _d.Dataset, eps: float = EXACT_EPS,
             lagrange: float | None = None) -> StructureReport:
     """Full structural report: relevance levels, blankets, sufficient subsets.
-    Blankets are walked only for features that are not strongly relevant."""
+    One walk per feature (see `_walk`) gives its level and its blankets."""
     full, lagrange, sufficient = _sufficiency(ds, eps, lagrange)
     F = ds.feature_names
-    relevance = {f: classify_relevance(ds, f, eps) for f in F}
+    walks = {f: _walk(ds, f, eps) for f in F}
     parts = _d.mutual_information_row(ds, F, [ds.target_name])
     return StructureReport(
-        relevance=relevance,
-        markov_blankets={f: () if relevance[f].level == STRONGLY_RELEVANT
-                         else tuple(_blankets(ds, f, [v for v in F if v != f], eps)) for f in F},
+        relevance={f: level for f, (level, _) in walks.items()},
+        markov_blankets={f: tuple(blankets) for f, (_, blankets) in walks.items()},
         sufficient_subsets=tuple(sufficient),
         dmi_per_feature={f: _deficit(full, part) for f, part in zip(F, parts)},
         epsilon=eps,

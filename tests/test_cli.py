@@ -215,6 +215,14 @@ class TestGen:
                   "--n", "10"])
         assert rc == 4
 
+    def test_too_wide_exhaustive_table_exit_4(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = run(["gen", "--out", str(out), "--relevant", "1", "--noise", "20",
+                  "--exhaustive"])
+        assert rc == 4
+        assert "21 base columns" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestInfo:
     def test_independent_columns_near_zero(self, tmp_path):

@@ -46,6 +46,11 @@ class TestSyntheticSpec:
         with pytest.raises(ValueError):
             SyntheticSpec(relevant=1)
 
+    def test_exhaustive_base_columns_bounded(self):
+        # 1 + 2*2 + 16 = 21 base columns: rejected before any row is built
+        with pytest.raises(ValueError, match=r"21 base columns .* 2\*\*21 = 2,097,152 rows"):
+            SyntheticSpec(relevant=1, xor_groups=2, noise=16, exhaustive=True)
+
 
 class TestGenerate:
     def test_exhaustive_reconstructs_example1(self):

@@ -15,8 +15,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from miselect import (CriterionSpec, Dataset, QuantizerSpec, RelevanceLevel, StructureReport,
-                      analyze, composite_view, empirical_distribution, forward_select,
-                      load_csv, plus_l_take_away_r, score, score_all)
+                      analyze, classify_relevance, composite_view, empirical_distribution,
+                      find_minimal_markov_blankets, forward_select, load_csv,
+                      plus_l_take_away_r, score, score_all)
 from miselect import data as mdata
 from miselect import info, search
 from miselect.criteria import PairCache
@@ -652,6 +653,17 @@ def test_analyze_equals_exhaustive_reference(ds, eps):
     for f, level in relevance.items():
         if level.level == STRONGLY_RELEVANT:
             assert blankets[f] == (), f
+
+
+@SETTINGS
+@given(structure_datasets(), st.sampled_from([0.0, 1e-9, 0.05]))
+def test_standalone_analyses_equal_exhaustive_reference(ds, eps):
+    """`classify_relevance` and `find_minimal_markov_blankets`, each called
+    on its own, equal the exhaustive walks for every feature."""
+    for f in ds.feature_names:
+        assert classify_relevance(ds, f, eps) == _reference_relevance(ds, f, eps), f
+        assert tuple(find_minimal_markov_blankets(ds, f, eps)) == \
+            _reference_blankets(ds, f, eps), f
 
 
 # Pieces of CSV text: number parts, quoting and line ends, the missing-value

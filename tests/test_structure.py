@@ -48,8 +48,9 @@ class TestClassifyRelevance:
         assert classify_relevance(ex1_with_noise, "x5").level == IRRELEVANT
 
     def test_other_features_measured_once(self, ex1_with_noise, monkeypatch):
-        """I(x5;C|F\\x5) decides strong relevance and is not measured again
-        as the last subset of the weak-relevance walk: 1 + 15 measures."""
+        """I(x5;C|F\\x5) decides strong relevance and is not measured again.
+        The empty set is a blanket of x5, so the walk skips every other
+        subset: 2 measures."""
         calls = []
         cmi = mdata.conditional_mutual_information
 
@@ -59,8 +60,7 @@ class TestClassifyRelevance:
 
         monkeypatch.setattr(mdata, "conditional_mutual_information", counting)
         assert classify_relevance(ex1_with_noise, "x5").level == IRRELEVANT
-        assert len(calls) == 16
-        assert calls.count(("x1", "x2", "x3", "x4")) == 1
+        assert calls == [("x1", "x2", "x3", "x4"), ()]
 
     def test_invariant_to_column_order(self):
         _, ds = example1()
@@ -298,6 +298,24 @@ class TestAnalyze:
         analyze(ex1_with_noise)
         full = [f for f, M in calls if set(M) == set(F) - {f}]
         assert sorted(full) == sorted(F)
+
+    def test_walk_skips_supersets_of_blankets(self, monkeypatch):
+        """On the m=9 truth table each irrelevant feature stops at its empty
+        blanket, and each duplicate skips the supersets of its twin: 274
+        per-call measures in all."""
+        ds, _ = generate(SyntheticSpec(relevant=1, xor_groups=1, redundant_copies=1,
+                                       noise=5, exhaustive=True))
+        calls = []
+        cmi = mdata.conditional_mutual_information
+
+        def counting(ds, x, y, z):
+            calls.append(tuple(z))
+            return cmi(ds, x, y, z)
+
+        monkeypatch.setattr(mdata, "conditional_mutual_information", counting)
+        report = analyze(ds)
+        assert report.markov_blankets["x5"] == ((),)
+        assert len(calls) == 274
 
     def test_report_serializes(self, ex1_with_noise):
         doc = analyze(ex1_with_noise).to_dict()
