@@ -4,6 +4,7 @@ measures: each a row of the one counting kernel, `info._row_tables`."""
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -143,6 +144,11 @@ def quantize_column(values: np.ndarray, spec: QuantizerSpec) -> tuple[np.ndarray
     if lo == hi:
         return np.zeros(len(values), dtype=np.int64), 1
     if spec.strategy == "equal-width":
+        # binned after an exact scaling by a power of two that brings the
+        # largest magnitude into [0.5, 1): hi - lo cannot overflow then, nor
+        # its width underflow to 0, and other columns keep their codes
+        scale = -np.frexp(max(abs(lo), abs(hi)))[1]
+        values, lo, hi = np.ldexp(values, scale), np.ldexp(lo, scale), np.ldexp(hi, scale)
         width = (hi - lo) / spec.bins
         raw = np.minimum((values - lo) // width, spec.bins - 1).astype(np.int64)
         return _info._ranks(raw, spec.bins)
@@ -168,27 +174,37 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def _encode_column(raw, name: str, spec: QuantizerSpec) -> tuple[np.ndarray, int]:
-    """Codes of a column: its float64 values as the C pass read them (all
-    finite), or its raw tokens."""
-    if isinstance(raw, np.ndarray):
-        return quantize_column(raw, spec)
-    try:
-        # one pass with float() semantics: surrounding whitespace, digit
-        # separators and non-ASCII digits parse as they do there
-        numeric = np.array(raw, dtype=np.float64)
-    except ValueError:
-        return _encode_tokens(raw, name)
-    bad = np.flatnonzero(~np.isfinite(numeric))
-    if len(bad):
-        raise ValueError(f"non-finite value {raw[bad[0]].strip()!r} in column {name!r}")
-    return quantize_column(numeric, spec)
+def _encode_column(values: np.ndarray, tokens, name: str,
+                   spec: QuantizerSpec) -> tuple[np.ndarray, int]:
+    """Codes of a column as either reader gives it: its float64 values (all
+    finite) where `tokens` is None, else each row's index into `tokens`, the
+    column's distinct raw tokens in the order first read."""
+    if tokens is not None:
+        tokens = list(tokens)
+        ids = values.astype(np.intp)
+        try:
+            # one pass with float() semantics: surrounding whitespace, digit
+            # separators and non-ASCII digits parse as they do there
+            numeric = np.array(tokens, dtype=np.float64)
+        except ValueError:
+            return _encode_tokens(ids, tokens, name)
+        values = numeric[ids]
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            raise ValueError(f"non-finite value {tokens[ids[bad[0]]].strip()!r} in column {name!r}")
+    if spec.strategy == "pass-through":
+        bad = np.flatnonzero(values != np.floor(values))
+        if len(bad):
+            raise ValueError("pass-through quantizer requires integer-valued column "
+                             f"{name!r}, got {float(values[bad[0]])!r}")
+    return quantize_column(values, spec)
 
 
-def _encode_tokens(raw, name: str) -> tuple[np.ndarray, int]:
+def _encode_tokens(ids: np.ndarray, tokens: list, name: str) -> tuple[np.ndarray, int]:
     """Label codes of a column that does not parse as numbers, or the error
-    of a numeric column with a missing value."""
-    stripped = [v.strip() for v in raw]
+    of a numeric column with a missing value; `tokens` are its distinct raw
+    tokens and `ids` each row's index into them."""
+    stripped = [v.strip() for v in tokens]
     if "" in stripped:
         raise ValueError(f"missing value in column {name!r}")
     words = sorted(v for v in set(stripped) if not _is_number(v))
@@ -197,7 +213,15 @@ def _encode_tokens(raw, name: str) -> tuple[np.ndarray, int]:
     # string column: deterministic lexicographic label encoding
     labels = sorted(set(stripped))
     table = {lab: i for i, lab in enumerate(labels)}
-    return np.array([table[v] for v in stripped], dtype=np.int64), len(labels)
+    return np.array([table[v] for v in stripped], dtype=np.int64)[ids], len(labels)
+
+
+def _token_coder(tokens: dict):
+    """A converter that reads each raw token as its index among the distinct
+    tokens read so far, kept in first-read order in `tokens`."""
+    def convert(token):
+        return tokens.setdefault(token, len(tokens))
+    return convert
 
 
 def _check_header(header, target_name: str) -> list[str]:
@@ -215,9 +239,10 @@ def _check_header(header, target_name: str) -> list[str]:
     return header
 
 
-def _read_rows(path, target_name: str) -> tuple[list[str], dict]:
-    """Header and token columns read by the csv module: the reference reading,
-    and the one whose errors load_csv reports."""
+def _read_rows(path, target_name: str) -> tuple[list[str], np.ndarray, dict]:
+    """Header, token ids and distinct tokens of every column, read by the csv
+    module: the reference reading, and the one whose errors load_csv
+    reports."""
     # utf-8-sig drops a byte-order mark, which would hide the first header
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -233,7 +258,11 @@ def _read_rows(path, target_name: str) -> tuple[list[str], dict]:
     for i, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"ragged row {i + 2}: expected {width} fields, got {len(row)}")
-    return header, dict(zip(header, zip(*rows)))
+    tokens = {j: {} for j in range(width)}
+    ids = np.empty((len(rows), width))
+    for j, column in enumerate(zip(*rows)):
+        ids[:, j] = list(map(_token_coder(tokens[j]), column))
+    return header, ids, tokens
 
 
 # The ASCII file, group, record and unit separators: loadtxt's number parser
@@ -241,26 +270,63 @@ def _read_rows(path, target_name: str) -> tuple[list[str], dict]:
 _NOT_SPACE_TO_FLOAT = "\x1c\x1d\x1e\x1f"
 _LOADTXT = dict(delimiter=",", quotechar='"', comments=None, ndmin=2)
 
+# Characters of a CSV body that `_read_numbers` reads at a time.
+CHUNK_CHARS = 1 << 16
 
-def _token_collector(tokens: list):
-    """A loadtxt converter that keeps each raw token and reads it as 0.0."""
-    def convert(token):
-        tokens.append(token)
-        return 0.0
-    return convert
+
+class _Lines:
+    """The lines of the rest of a text file, as `fh.read().split("\\n")`
+    gives them less an empty last one, read `CHUNK_CHARS` characters at a
+    time; `count` is the number yielded so far.
+
+    Raises ValueError, and so stops, at the first chunk that holds what the
+    C pass cannot vouch for (see `_read_numbers`): a blank line, a line
+    equal to `\\r`, one longer than `csv.field_size_limit()` (found before
+    the line ends, so no line is held past it), or one of `\\x1c`-`\\x1f`.
+    """
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.count = 0
+
+    def __iter__(self):
+        limit = csv.field_size_limit()
+        head, size = [], 0            # the pieces of a line not yet ended
+        while chunk := self.fh.read(CHUNK_CHARS):
+            if any(c in chunk for c in _NOT_SPACE_TO_FLOAT):
+                raise ValueError("a separator the C pass reads as whitespace")
+            *lines, rest = chunk.split("\n")
+            if lines:
+                head.append(lines[0])
+                lines[0] = "".join(head)
+                head, size = [], 0
+            head.append(rest)
+            size += len(rest)
+            yield from self._vouched(lines, size, limit)
+        yield from self._vouched(["".join(head)] if size else [], 0, limit)
+
+    def _vouched(self, lines, size, limit):
+        if ("" in lines or "\r" in lines or size > limit
+                or (lines and max(map(len, lines)) > limit)):
+            raise ValueError("a line the C pass cannot vouch for")
+        self.count += len(lines)
+        return lines
 
 
 def _read_numbers(path, target_name: str):
-    """Header and columns from one `np.loadtxt` pass over the body, or None
-    where that pass might read the file otherwise than `_read_rows` does.
+    """Header, values and distinct tokens from one `np.loadtxt` pass over the
+    body, or None where that pass might read the file otherwise than
+    `_read_rows` does.
 
-    A column whose first value is a number comes back as float64 from
-    numpy's C parser, with no Python object per field; the raw tokens of
-    every other column are kept for `_encode_tokens`.  Besides loadtxt
-    raising nothing, the pass needs:
+    The body streams through the pass in chunks (`_Lines`), so no copy of
+    its text is held.  A column whose first value is a number comes back as
+    float64 from numpy's C parser, with no Python object per field; each
+    other column is read as token ids, keeping only its distinct tokens.
+    Besides loadtxt raising nothing, the pass needs:
     - no blank line, which loadtxt skips and csv reports as a ragged row;
-    - one record per line, since a line end inside quotes is lost when the
-      body is split into lines;
+    - one record per line, since loadtxt joins the lines of a record with a
+      line end inside quotes, dropping that line end: the row count falls
+      short of the line count;
     - no line longer than `csv.field_size_limit()`, which loadtxt does not
       enforce;
     - every number finite, since the error of a non-finite one names its
@@ -269,27 +335,20 @@ def _read_numbers(path, target_name: str):
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             header = next(csv.reader(fh), None)
-            body = fh.read()
-    except (csv.Error, UnicodeDecodeError):
+            body = _Lines(fh)
+            lines = iter(body)
+            first = next(lines, None)
+            if first is None:
+                return None
+            kinds = np.loadtxt([first], dtype=object, **_LOADTXT)[0]
+            tokens = {j: {} for j, token in enumerate(kinds) if not _is_number(token)}
+            values = np.loadtxt(itertools.chain([first], lines), dtype=np.float64, **_LOADTXT,
+                                converters={j: _token_coder(t) for j, t in tokens.items()})
+    except (csv.Error, ValueError):   # a UnicodeDecodeError is a ValueError
         return None
-    lines = body.split("\n")
-    n = len(lines) - (lines[-1] == "")
-    if (n == 0 or any(c in body for c in _NOT_SPACE_TO_FLOAT)
-            or "" in lines[:n] or "\r" in lines
-            or max(map(len, lines)) > csv.field_size_limit()):
+    if values.shape != (body.count, len(header)) or not np.isfinite(values).all():
         return None
-    try:
-        first = np.loadtxt(lines[:1], dtype=object, **_LOADTXT)[0]
-        tokens = {j: [] for j, token in enumerate(first) if not _is_number(token)}
-        values = np.loadtxt(lines, dtype=np.float64, **_LOADTXT,
-                            converters={j: _token_collector(t) for j, t in tokens.items()})
-    except ValueError:
-        return None
-    if values.shape != (n, len(header)) or not np.isfinite(values).all():
-        return None
-    header = _check_header(header, target_name)
-    return header, {name: tokens[j] if j in tokens else values[:, j]
-                    for j, name in enumerate(header)}
+    return _check_header(header, target_name), values, tokens
 
 
 def load_csv(path, target_name: str,
@@ -307,18 +366,22 @@ def load_csv(path, target_name: str,
     vouch for is read again, row by row, by the csv module (`_read_rows`),
     which gives the same result and reports the errors.
     """
-    header, columns = _read_numbers(path, target_name) or _read_rows(path, target_name)
+    header, values, tokens = (_read_numbers(path, target_name)
+                              or _read_rows(path, target_name))
+    n = len(values)
     feat_names = [h for h in header if h != target_name]
-    codes = []
+    # codes are below n, so every column fits this dtype
+    features = np.empty((n, len(feat_names)), dtype=_code_dtype([n]), order="F")
     cards = []
-    for name in feat_names:
-        col, card = _encode_column(columns[name], name, quantizer)
-        codes.append(col)
+    for k, name in enumerate(feat_names):
+        j = header.index(name)
+        features[:, k], card = _encode_column(values[:, j], tokens.get(j), name, quantizer)
         cards.append(card)
-    cls, class_card = _encode_column(
-        columns[target_name], target_name, QuantizerSpec("pass-through", 2))
+    j = header.index(target_name)
+    cls, class_card = _encode_column(values[:, j], tokens.get(j), target_name,
+                                     QuantizerSpec("pass-through", 2))
     return Dataset(
-        features=np.column_stack(codes),
+        features=features,
         class_codes=cls,
         feature_cards=tuple(cards),
         class_card=class_card,

@@ -279,6 +279,31 @@ class TestBadTokens:
         assert f"'{token}'" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("text, quantizer, message", [
+        ("a,C\n1,0\n2,0.5\n", "equal-width", "column 'C', got 0.5"),
+        ("a,b,C\n1,1,0\n2,1.5,1\n", "pass-through", "column 'b', got 1.5"),
+    ])
+    def test_non_integer_pass_through_names_the_column_exit_4(self, tmp_path, capsys, text,
+                                                             quantizer, message):
+        """The target is always passed through; a feature only under
+        `--quantizer pass-through`."""
+        data = tmp_path / "frac.csv"
+        data.write_text(text)
+        rc = run(["info", str(data), "--target", "C", "--quantizer", quantizer,
+                  "--out", str(tmp_path / "out.json")])
+        assert rc == 4
+        assert f"pass-through quantizer requires integer-valued {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_equal_width_over_the_float_range(self, tmp_path):
+        data = tmp_path / "wide.csv"
+        data.write_text("a,C\n-1e308,0\n0,1\n1e308,0\n")
+        out = tmp_path / "info.json"
+        rc = run(["info", str(data), "--target", "C", "--quantizer", "equal-width",
+                  "--out", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["class_relevance"]["a"] > 0
+
     def test_field_past_csv_limit_exit_4(self, tmp_path, capsys):
         data = tmp_path / "huge.csv"
         data.write_text("a,C\n1,0\n" + "7" * (csv.field_size_limit() + 1) + ",1\n")

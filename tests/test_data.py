@@ -1,4 +1,6 @@
 import csv
+import io
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -63,6 +65,17 @@ class TestQuantizeColumn:
         values = np.array([0.0, 0.1, 0.5, 0.9, 1.0])
         codes, card = quantize_column(values, QuantizerSpec("equal-width", 2))
         assert list(codes) == [0, 0, 1, 1, 1]
+
+    @pytest.mark.parametrize("values, codes", [
+        ([-1e308, 0.0, 1e308, 0.0], [0, 1, 2, 1]),     # hi - lo overflows
+        ([0.0, 5e-324, 1e-323], [0, 1, 2]),            # (hi - lo) / bins underflows to 0
+        ([-1.7976931348623157e308, 1.7976931348623157e308], [0, 1]),
+    ])
+    def test_equal_width_extreme_ranges(self, values, codes):
+        """Binned as on values scaled by a power of two: 5 bins over [lo, hi]
+        put lo, the midpoint and hi in bins 0, 2 and 4, ranked 0, 1, 2."""
+        got, card = quantize_column(np.array(values), QuantizerSpec("equal-width", 5))
+        assert list(got) == codes and card == len(set(codes))
 
     def test_constant_column_single_code(self):
         codes, card = quantize_column(np.full(10, 3.7), QuantizerSpec("equal-width", 5))
@@ -289,6 +302,73 @@ class TestCsvFastPassGuards:
         assert np.array_equal(got.features, want.features)
         assert np.array_equal(got.class_codes, want.class_codes)
         assert got.feature_cards == want.feature_cards == (5,) * 4 and got.class_card == 3
+
+
+    @pytest.mark.parametrize("fault", ["", "\r", "4,\"two\nlines\",0", "5,6\x1f,1",
+                                       "7," + "8" * 40 + ",0"])
+    def test_fault_in_a_later_chunk_falls_back(self, tmp_path, monkeypatch, fault):
+        """A blank line, a line equal to `\\r`, a quoted line end, a separator
+        and an over-long line, each first read chunks after the start of the
+        body: the C pass has read lines by then, and the result is still the
+        csv module's."""
+        monkeypatch.setattr(mdata, "CHUNK_CHARS", 16)
+        limit = csv.field_size_limit(32)
+        try:
+            rows = [f"{i % 7},{(i * 3) % 5}.5,{i % 2}" for i in range(40)]
+            p = self._write(tmp_path, "a,b,C\n" + "\n".join(rows[:30] + [fault] + rows[30:]) + "\n")
+            with mock.patch.object(mdata, "_read_rows", wraps=mdata._read_rows) as csv_module:
+                got = _load_or_error(p)
+            with mock.patch.object(mdata, "_read_numbers", return_value=None):
+                want = _load_or_error(p)
+        finally:
+            csv.field_size_limit(limit)
+        assert csv_module.called
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.array_equal(got.features, want.features) and got.n == want.n
+            assert got.feature_cards == want.feature_cards
+
+    def test_over_long_line_stops_the_read_before_it_ends(self, monkeypatch):
+        """A line past the field limit is a fault as soon as its read part
+        is: the rest of it is never read."""
+        monkeypatch.setattr(mdata, "CHUNK_CHARS", 8)
+        fh = io.StringIO("1,0\n" + "9" * 1000)
+        limit = csv.field_size_limit(32)
+        try:
+            with pytest.raises(ValueError):
+                list(mdata._Lines(fh))
+        finally:
+            csv.field_size_limit(limit)
+        assert fh.tell() <= 4 + 32 + 8
+
+    def test_load_csv_memory_peak(self, tmp_path):
+        """On a CSV shaped like the benchmark's (20k rows of 12 full-precision
+        floats and a 3-valued label, 4.8 MB), load_csv holds no copy of the
+        text: its traced peak is the float64 values, the codes and one chunk
+        (about 3 MB; 14 MB when the body was read whole)."""
+        rng = np.random.default_rng(0)
+        values = rng.normal(size=(20_000, 12))
+        labels = np.array(["high", "low", "mid"])[rng.integers(0, 3, 20_000)]
+        lines = [",".join([f"v{j}" for j in range(12)] + ["label"])]
+        lines += [",".join(map(repr, row.tolist())) + "," + lab for row, lab in zip(values, labels)]
+        p = self._write(tmp_path, "\n".join(lines) + "\n")
+        del values, labels, lines
+        tracemalloc.start()
+        try:
+            ds = load_csv(p, "label")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.n == 20_000 and ds.feature_cards == (5,) * 12 and ds.class_card == 3
+        assert peak <= 6_000_000, peak
+
+
+def _load_or_error(path):
+    try:
+        return load_csv(path, "C")
+    except ValueError as exc:
+        return str(exc)
 
 
 class TestDataset:

@@ -3,6 +3,7 @@ the pair cache's rows, the composites the joint criteria reuse within a
 search step, the structure analyses against exhaustive walks, and CSV
 loading against the csv module's reading."""
 
+import csv
 import math
 import warnings
 from collections import Counter
@@ -704,13 +705,7 @@ def _load_or_error(path, spec):
         return str(exc)
 
 
-@pytest.mark.parametrize("strategy", ["equal-width", "equal-frequency", "pass-through"])
-@settings(max_examples=150, deadline=None)
-@given(text=csv_texts(), bins=st.integers(2, 3))
-def test_load_csv_equals_csv_module_reading(tmp_path_factory, strategy, bins, text):
-    """`load_csv` gives what reading every row with the csv module gives:
-    the same codes, cardinalities, names and meta, or the same error."""
-    path = tmp_path_factory.getbasetemp() / "property.csv"
+def _assert_load_csv_equals_csv_module_reading(path, text, strategy, bins):
     path.write_text(text, encoding="utf-8", newline="")
     spec = QuantizerSpec(strategy, bins)
     with warnings.catch_warnings(), \
@@ -729,3 +724,30 @@ def test_load_csv_equals_csv_module_reading(tmp_path_factory, strategy, bins, te
         assert getattr(got, attr).dtype == getattr(want, attr).dtype
     for attr in ("feature_cards", "class_card", "feature_names", "target_name", "meta"):
         assert getattr(got, attr) == getattr(want, attr)
+
+
+@pytest.mark.parametrize("strategy", ["equal-width", "equal-frequency", "pass-through"])
+@settings(max_examples=150, deadline=None)
+@given(text=csv_texts(), bins=st.integers(2, 3))
+def test_load_csv_equals_csv_module_reading(tmp_path_factory, strategy, bins, text):
+    """`load_csv` gives what reading every row with the csv module gives:
+    the same codes, cardinalities, names and meta, or the same error."""
+    _assert_load_csv_equals_csv_module_reading(
+        tmp_path_factory.getbasetemp() / "property.csv", text, strategy, bins)
+
+
+@pytest.mark.parametrize("strategy", ["equal-width", "equal-frequency", "pass-through"])
+@settings(max_examples=150, deadline=None)
+@given(text=csv_texts(), bins=st.integers(2, 3), chunk=st.integers(1, 5))
+def test_load_csv_equals_csv_module_reading_in_small_chunks(tmp_path_factory, strategy, bins,
+                                                            text, chunk):
+    """The same, with the body read a few characters at a time and a field
+    limit of 12, so that lines, quoted line ends, blank lines, `\\r`,
+    separators and over-long lines straddle chunks."""
+    limit = csv.field_size_limit(12)
+    try:
+        with mock.patch.object(mdata, "CHUNK_CHARS", chunk):
+            _assert_load_csv_equals_csv_module_reading(
+                tmp_path_factory.getbasetemp() / "chunks.csv", text, strategy, bins)
+    finally:
+        csv.field_size_limit(limit)
