@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import data as _d
 from .distribution import JointDistribution, _as_vars
-from .info import entropy, mutual_information
+from .info import _sum_in_order, entropy, mutual_information
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,8 @@ def bayes_error_bounds(dist: JointDistribution, f, class_var: str) -> ErrorBound
         x = state[:-1]
         if p > best.get(x, 0.0):
             best[x] = p
-    return ErrorBounds(lower=lower, upper=upper, exact=1.0 - sum(best.values()), mi=mi,
+    exact = 1.0 - _sum_in_order(best.values())
+    return ErrorBounds(lower=lower, upper=upper, exact=exact, mi=mi,
                        class_entropy=hc,
                        meta={"log_base": 2, "composite_feature": len(fs) > 1})
 

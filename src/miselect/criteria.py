@@ -45,10 +45,12 @@ class CriterionSpec:
 @dataclass
 class ScoreBoard:
     """Per-candidate scores, with a term breakdown for linear criteria, built
-    on first access from `terms`: each term as a vector over the candidates."""
+    on first access from `terms`: each term as a vector over the candidates.
+    `warnings` are the messages scoring warned, in order (`_warn`)."""
 
     scores: dict[str, float] = field(default_factory=dict)
     terms: dict[str, np.ndarray] = field(default_factory=dict, compare=False)
+    warnings: tuple[str, ...] = field(default=(), init=False, compare=False)
 
     def best(self) -> float:
         return max(self.scores.values())
@@ -194,32 +196,38 @@ SPARSE_SUPPORT_FRACTION = 5
 
 
 def _joint_scores(spec: CriterionSpec, cand: list[str], S: tuple[str, ...],
-                  ds: _d.Dataset) -> list[float]:
+                  ds: _d.Dataset) -> tuple[list[float], list[str]]:
     """The MD or MMD score of each candidate f: I(S + f; C), less I(rest; C)
     under MMD, where rest is the features outside S + f; each term is one row
     over the candidates.  S is coded once; a lone candidate's rest is coded on
-    its own, and for several the rests are leave-one-out views."""
+    its own, and for several the rests are leave-one-out views.  Also the
+    warning of each rest whose support is sparse."""
     if not cand:
-        return []
+        return [], []
     target = [ds.target_name]
     head = (_d.View(*_d.composite_view(ds, S)),) if S else ()
     joint = _d.mutual_information_row(ds, [head + (f,) for f in cand], target)
     outside = [v for v in ds.feature_names if v not in S]
     if spec.kind == "md" or outside == cand[:1]:   # MD, or a lone f with no rest
-        return joint
+        return joint, []
     if len(cand) > 1:
         views = dict(zip(outside, _d.leave_one_out_views(ds, outside)))
     else:
         views = {cand[0]: _d.View(*_d.composite_view(ds, [v for v in outside if v != cand[0]]))}
-    for f in cand:
-        if views[f].support > ds.n / SPARSE_SUPPORT_FRACTION:
-            rest = [v for v in outside if v != f]
-            warnings.warn(
-                f"MMD complement set {rest} has sparse support "
-                f"({views[f].support} distinct tuples over {ds.n} samples); "
-                "its plug-in MI estimate may be unreliable")
+    notes = [f"MMD complement set {[v for v in outside if v != f]} has sparse support "
+             f"({views[f].support} distinct tuples over {ds.n} samples); "
+             "its plug-in MI estimate may be unreliable"
+             for f in cand if views[f].support > ds.n / SPARSE_SUPPORT_FRACTION]
     rests = _d.mutual_information_row(ds, [(views[f],) for f in cand], target)
-    return [value - rest for value, rest in zip(joint, rests)]
+    return [value - rest for value, rest in zip(joint, rests)], notes
+
+
+def _warn(board: ScoreBoard) -> ScoreBoard:
+    """Warn each of the board's `warnings`, in order, from this one place, so
+    that a board given again warns as it did the first time; the board."""
+    for message in board.warnings:
+        warnings.warn(message)
+    return board
 
 
 def score(spec: CriterionSpec, f: str, S, ds: _d.Dataset,
@@ -240,7 +248,10 @@ def score_all(spec: CriterionSpec, candidates, S, ds: _d.Dataset,
     if set(cand) & set(S):
         raise ValueError("candidates and selected set overlap")
     if spec.kind in ("md", "mmd"):
-        return ScoreBoard(dict(zip(cand, _joint_scores(spec, cand, S, ds))))
+        scores, notes = _joint_scores(spec, cand, S, ds)
+        board = ScoreBoard(dict(zip(cand, scores)))
+        board.warnings = tuple(notes)
+        return _warn(board)
     if cache is None:
         cache = PairCache(ds)
     cache.candidates = cand

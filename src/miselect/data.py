@@ -61,7 +61,6 @@ class Dataset:
     target_name: str
     meta: dict = field(default_factory=dict)
     _index: dict = field(init=False, repr=False)   # name -> column
-    _planes: dict = field(default_factory=dict, init=False, repr=False)
     _table: tuple = field(init=False, compare=False, repr=False)   # the kernel's `info._Table`
 
     def __post_init__(self):
@@ -89,8 +88,9 @@ class Dataset:
         object.__setattr__(self, "feature_cards", tuple(self.feature_cards))
         object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
         object.__setattr__(self, "_index", {name: j for j, name in enumerate(self.feature_names)})
-        object.__setattr__(self, "_table", _info._Table(self._column, self._card, n, None,
-                                                           self._column_planes))
+        planes = _info._PlaneStore(self.feature_names + (self.target_name,),
+                                   self.feature_cards + (self.class_card,), self.codes, n)
+        object.__setattr__(self, "_table", _info._Table(self._column, n, None, planes))
 
     @property
     def n(self) -> int:
@@ -117,21 +117,15 @@ class Dataset:
         """`codes` of a column name, or the codes and support of a View."""
         return (v.codes, v.support) if isinstance(v, View) else self.codes(v)
 
-    def _card(self, name: str) -> int:
-        """The cardinality of a column, read without its codes."""
-        if name == self.target_name:
-            return self.class_card
-        return self.feature_cards[self.column_index(name)]
-
-    def _column_planes(self, name: str) -> np.ndarray:
-        """`info._planes` of a column, built on first use and kept."""
-        if name not in self._planes:
-            self._planes[name] = _info._planes(*self.codes(name))
-        return self._planes[name]
-
 
 def quantize_column(values: np.ndarray, spec: QuantizerSpec) -> tuple[np.ndarray, int]:
-    """Discretize one numeric column into dense codes."""
+    """Discretize one numeric column into dense codes, in the narrowest
+    signed integer dtype that holds them (`_code_dtype`)."""
+    codes, card = _quantize(values, spec)
+    return codes.astype(_code_dtype([card]), copy=False), card
+
+
+def _quantize(values, spec: QuantizerSpec) -> tuple[np.ndarray, int]:
     values = np.asarray(values, dtype=float)
     if not np.isfinite(values).all():
         raise ValueError("cannot quantize a non-finite value (nan, inf or -inf)")
@@ -142,7 +136,7 @@ def quantize_column(values: np.ndarray, spec: QuantizerSpec) -> tuple[np.ndarray
         return _info._ranks(values)
     lo, hi = values.min(), values.max()
     if lo == hi:
-        return np.zeros(len(values), dtype=np.int64), 1
+        return np.zeros(len(values), dtype=np.int8), 1
     if spec.strategy == "equal-width":
         # binned after an exact scaling by a power of two that brings the
         # largest magnitude into [0.5, 1): hi - lo cannot overflow then, nor
@@ -213,7 +207,8 @@ def _encode_tokens(ids: np.ndarray, tokens: list, name: str) -> tuple[np.ndarray
     # string column: deterministic lexicographic label encoding
     labels = sorted(set(stripped))
     table = {lab: i for i, lab in enumerate(labels)}
-    return np.array([table[v] for v in stripped], dtype=np.int64)[ids], len(labels)
+    codes = np.array([table[v] for v in stripped], dtype=_code_dtype([len(labels)]))
+    return codes[ids], len(labels)
 
 
 def _token_coder(tokens: dict):
@@ -368,20 +363,20 @@ def load_csv(path, target_name: str,
     """
     header, values, tokens = (_read_numbers(path, target_name)
                               or _read_rows(path, target_name))
-    n = len(values)
     feat_names = [h for h in header if h != target_name]
-    # codes are below n, so every column fits this dtype
-    features = np.empty((n, len(feat_names)), dtype=_code_dtype([n]), order="F")
-    cards = []
-    for k, name in enumerate(feat_names):
+    # each column's codes come narrow, and the values go before they are stacked
+    columns, cards = [], []
+    for name in feat_names:
         j = header.index(name)
-        features[:, k], card = _encode_column(values[:, j], tokens.get(j), name, quantizer)
+        codes, card = _encode_column(values[:, j], tokens.get(j), name, quantizer)
+        columns.append(codes)
         cards.append(card)
     j = header.index(target_name)
     cls, class_card = _encode_column(values[:, j], tokens.get(j), target_name,
                                      QuantizerSpec("pass-through", 2))
+    del values
     return Dataset(
-        features=features,
+        features=np.column_stack(columns),
         class_codes=cls,
         feature_cards=tuple(cards),
         class_card=class_card,

@@ -75,55 +75,52 @@ def example1() -> tuple[JointDistribution, Dataset]:
     return dist, ds
 
 
+# Base-column values drawn at a time, a block of whole rows; int64 draws in
+# blocks continue one stream, so the codes do not depend on the block size.
+DRAW_VALUES = 1 << 16
+
+
 def generate(spec: SyntheticSpec) -> tuple[Dataset, dict[str, str]]:
     """Synthetic dataset with planted feature roles.
 
     Column order: relevant features, XOR pair members, redundant copies,
     noise.  C = OR(relevant) OR OR(xor of each pair), then flipped with
-    probability flip_prob.  Deterministic for a fixed seed.
+    probability flip_prob.  Deterministic for a fixed seed.  The base
+    columns are drawn as int64 a block of rows at a time, straight into the
+    int8 feature matrix.
     """
-    n_base = spec.relevant + 2 * spec.xor_groups + spec.noise
+    r, x = spec.relevant, spec.xor_groups
+    signal, copies = r + 2 * x, spec.redundant_copies
+    n_base = signal + spec.noise
     rng = np.random.default_rng(spec.seed)
+    n = 2 ** n_base if spec.exhaustive else spec.n
+    feats = np.empty((n, n_base + copies), dtype=np.int8, order="F")
     if spec.exhaustive:
-        base = np.array(list(itertools.product((0, 1), repeat=n_base)), dtype=np.int64)
+        blocks = [(0, np.array(list(itertools.product((0, 1), repeat=n_base)), dtype=np.int64))]
     else:
-        base = rng.integers(0, 2, size=(spec.n, n_base), dtype=np.int64)
-    n = base.shape[0]
+        step = max(1, DRAW_VALUES // n_base)
+        blocks = ((i, rng.integers(0, 2, size=(min(step, n - i), n_base), dtype=np.int64))
+                  for i in range(0, n, step))
+    for i, base in blocks:
+        feats[i:i + len(base), :signal] = base[:, :signal]
+        feats[i:i + len(base), signal + copies:] = base[:, signal:]
+    for j in range(copies):
+        feats[:, signal + j] = feats[:, j % r]
 
-    rel = base[:, :spec.relevant]
-    xor_members = base[:, spec.relevant:spec.relevant + 2 * spec.xor_groups]
-    noise = base[:, spec.relevant + 2 * spec.xor_groups:]
-
-    c = np.zeros(n, dtype=np.int64)
-    for j in range(spec.relevant):
-        c |= rel[:, j]
-    for g in range(spec.xor_groups):
-        c |= xor_members[:, 2 * g] ^ xor_members[:, 2 * g + 1]
+    c = np.zeros(n, dtype=np.int8)
+    for j in range(r):
+        c |= feats[:, j]
+    for g in range(x):
+        c |= feats[:, r + 2 * g] ^ feats[:, r + 2 * g + 1]
     if spec.flip_prob > 0:
         flips = rng.random(n) < spec.flip_prob
         c = np.where(flips, 1 - c, c)
 
-    columns = []
-    roles: dict[str, str] = {}
-    names: list[str] = []
-
-    def add(col, role):
-        names.append(f"x{len(names) + 1}")
-        columns.append(col)
-        roles[names[-1]] = role
-
-    for j in range(spec.relevant):
-        add(rel[:, j], "relevant")
-    for g in range(spec.xor_groups):
-        add(xor_members[:, 2 * g], "xor")
-        add(xor_members[:, 2 * g + 1], "xor")
-    for j in range(spec.redundant_copies):
-        src = names[j % spec.relevant]
-        add(columns[j % spec.relevant].copy(), f"redundant:{src}")
-    for j in range(spec.noise):
-        add(noise[:, j], "noise")
-
-    feats = np.column_stack(columns)
+    names = [f"x{j + 1}" for j in range(feats.shape[1])]
+    roles = dict.fromkeys(names[:r], "relevant")
+    roles.update(dict.fromkeys(names[r:signal], "xor"))
+    roles.update({names[signal + j]: f"redundant:{names[j % r]}" for j in range(copies)})
+    roles.update(dict.fromkeys(names[signal + copies:], "noise"))
     cards = tuple(int(feats[:, j].max()) + 1 for j in range(feats.shape[1]))
     ds = Dataset(
         features=feats,

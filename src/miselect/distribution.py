@@ -85,7 +85,7 @@ class JointDistribution:
         object.__setattr__(self, "_states", np.stack(columns, dtype=np.int64)[:, live])
         from .info import _Table   # info imports this module
         weights = p[live]
-        object.__setattr__(self, "_table", _Table(self._column, None, len(weights), weights, None))
+        object.__setattr__(self, "_table", _Table(self._column, len(weights), weights, None))
 
     def index(self, var: str) -> int:
         try:

@@ -24,6 +24,15 @@ def clip_zero(value: float) -> float:
     return 0.0 if abs(value) < ZERO_TOL else value
 
 
+def _sum_in_order(values) -> float:
+    """The floats summed left to right from 0.0.  From Python 3.12 the
+    builtin `sum` compensates float sums, which changes the last bits."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _check_disjoint(*groups) -> list[tuple[str, ...]]:
     """The groups as tuples of names; raises if two of them share a name."""
     groups = [_as_vars(g) for g in groups]
@@ -97,17 +106,24 @@ def _leave_one_out(cols, n: int) -> list[tuple[np.ndarray, int]]:
 BLOCK_CODES = 1 << 20
 
 # Counting by bit planes costs one AND and popcount of n/64 words for each
-# cell of the block's tables; counting by codes costs a few passes over n
-# codes for each candidate.  Planes are used while the tables hold at most
-# this many cells per candidate, where the two took the same time for 99
-# candidates at n=2000 and n=10k (2 vCPU, numpy 2.4).
-PLANE_CELLS = 90
+# pair of a value 1..card-1 of a candidate and a value 0..radix-2 of the
+# groups (`_count_planes`); counting by codes costs a few passes over n codes
+# for each candidate.  Planes are used while the block costs at most this
+# many such pairs per candidate, a one-valued candidate counted as one value
+# so that the rule bounds radix and the group's planes too: for 98
+# candidates of 2 to 8 values at n=2000 and n=10k, the two took the same
+# time at 55 to 90 (2 vCPU, numpy 2.4).
+PLANE_CELLS = 80
+
+# A column of more values has no planes: they would take more bits than its
+# codes as int64.
+PLANE_VALUES = 65
 
 
 def _planes(code: np.ndarray, card: int) -> np.ndarray:
-    """One bit plane per value of a column: bit i of plane a is set where
-    code[i] == a.  A (card, ceil(n/64)) uint64 array; bits past n are 0.
-    The codes' dtype must hold card - 1."""
+    """One bit plane per value 0..card-1 of a column: bit i of plane a is
+    set where code[i] == a.  A (card, ceil(n/64)) uint64 array; bits past n
+    are 0.  The codes' dtype must hold card - 1."""
     n = len(code)
     bits = np.zeros((card, -(-n // 64) * 64), dtype=bool)
     # values in the codes' own dtype: a mixed-dtype compare is 3x slower
@@ -115,21 +131,79 @@ def _planes(code: np.ndarray, card: int) -> np.ndarray:
     return np.packbits(bits, axis=1).view(np.uint64)
 
 
+class _PlaneStore:
+    """The complement bit planes of a table's columns: the `_planes` of each
+    column's values 1..card-1, value 0 being what they leave, and the
+    popcount of each, in one (sum(card - 1), ceil(n/64)) uint64 array.
+
+    `slots` numbers the columns of PLANE_VALUES values or fewer; a column's
+    planes are built the first time a block holds it, written into its own
+    rows, and kept as long as the store.
+    """
+
+    def __init__(self, names, cards, column, n):
+        held = [(v, card) for v, card in zip(names, cards) if card <= PLANE_VALUES]
+        self.column, self.words = column, -(-n // 64)
+        self.names = [v for v, _ in held]
+        self.slot = {v: j for j, v in enumerate(self.names)}
+        self.cards = np.array([card for _, card in held], dtype=np.int64)
+        self.start = np.cumsum(self.cards - 1) - (self.cards - 1)
+        self.built = np.zeros(len(held), dtype=bool)
+        self.planes = self.pops = None
+
+    def slots(self, block) -> np.ndarray | None:
+        """The slots of a block of candidates, or None unless each is a column
+        with planes (not a View or a group)."""
+        at = [self.slot.get(f) for f in block]
+        return None if None in at else np.array(at)
+
+    def rows(self, at):
+        """The planes and popcounts of the columns at slots `at`, gathered in
+        that order."""
+        if self.planes is None:
+            rows = int((self.cards - 1).sum())
+            self.planes = np.empty((rows, self.words), dtype=np.uint64)
+            self.pops = np.empty(rows, dtype=np.int64)
+        for j in at[~self.built[at]]:
+            planes = _planes(*self.column(self.names[j]))[1:]
+            here = slice(self.start[j], self.start[j] + len(planes))
+            self.planes[here] = planes
+            self.pops[here] = np.bitwise_count(planes).sum(axis=1)
+            self.built[j] = True
+        width = self.cards[at] - 1
+        first = np.cumsum(width) - width
+        take = np.arange(width.sum()) + np.repeat(self.start[at] - first, width)
+        return self.planes[take], self.pops[take]
+
+
 def _count_codes(cols, g, radix, n, weights=None):
     """The nonzero cells of the block layout and their counts, or summed
-    `weights` over the rows, and the candidates' cardinalities in it: one
-    `np.bincount` of block-offset mixed-radix codes, or a sort when the
-    layout passes twice the number of codes.  A column whose cardinality
+    `weights` over the rows, and the candidates' cardinalities in it.
+    Unweighted, each candidate takes one `np.bincount` of its mixed-radix
+    codes, in the narrowest dtype from int16 that holds them; weighted, the
+    block takes one of block-offset int64 codes.  Either takes a sort when
+    the layout passes twice the number of codes.  A column whose cardinality
     passes n is ranked first."""
+    cols = [_ranks(col, card) if card > n else (col, card) for col, card in cols]
+    cards = [card for _, card in cols]
+    if weights is None and sum(cards) * radix <= 2 * n * len(cols):
+        dtype = np.result_type(np.int16, np.min_scalar_type(max(cards) * radix))
+        g = np.asarray(g, dtype=dtype)
+        code = np.empty(n, dtype=dtype)
+        counts = []
+        for col, card in cols:
+            np.multiply(col, radix, out=code, dtype=dtype)
+            code += g
+            counts.append(np.bincount(code, minlength=card * radix))
+        counts = np.concatenate(counts)
+        cells = np.flatnonzero(counts)
+        return cells, counts[cells], cards
     code = np.empty((len(cols), n), dtype=np.int64)
-    cards, start = [], 0
+    start = 0
     for row, (col, card) in zip(code, cols):
-        if card > n:
-            col, card = _ranks(col, card)
         np.multiply(col, radix, out=row, dtype=np.int64)
         row += g
         row += start
-        cards.append(card)
         start += card * radix
     code = code.ravel()
     if weights is not None and len(cols) > 1:
@@ -144,15 +218,34 @@ def _count_codes(cols, g, radix, n, weights=None):
     return cells, np.bincount(at, weights=weights), cards
 
 
-def _count_planes(planes, g, radix):
-    """The nonzero cells of the block layout and their counts: cell
-    (plane a of the block, b) is the popcount of plane a AND the plane of
-    g == b."""
-    counts = np.empty((len(planes), radix), dtype=np.int64)
+def _count_planes(planes, pops, cards, g, radix):
+    """The nonzero cells of the block layout and their counts, from the
+    candidates' complement planes and their popcounts (`_PlaneStore.rows`).
+
+    Cell (a, b) for a value a > 0 and b < radix - 1 is the popcount of plane
+    a AND the plane of g == b; the cell of the last b is what the others
+    leave of plane a's popcount, and the cell (0, b) what the values a > 0
+    leave of the count of g == b.
+    """
+    sums = np.int32 if len(g) < 2**31 else np.int64
+    above = np.empty((len(planes), radix), dtype=np.int64)   # the cells of values a > 0
     both = np.empty_like(planes)
-    for b, plane in enumerate(_planes(g, radix)):
+    bits = np.empty(planes.shape, dtype=np.uint8)
+    for b, plane in enumerate(_planes(g, radix - 1)):
         np.bitwise_and(planes, plane, out=both)
-        counts[:, b] = np.bitwise_count(both).sum(axis=1)
+        np.bitwise_count(both, out=bits)
+        above[:, b] = bits.sum(axis=1, dtype=sums)
+    above[:, -1] = pops - above[:, :-1].sum(axis=1)
+    # each candidate's rows of `above`, and what they leave of the count of b
+    width = cards - 1
+    first = np.cumsum(width) - width
+    upto = np.zeros((len(above) + 1, radix), dtype=np.int64)
+    np.cumsum(above, axis=0, out=upto[1:])
+    zero = np.zeros(len(above) + len(cards), dtype=bool)
+    zero[first + np.arange(len(cards))] = True
+    counts = np.empty((len(zero), radix), dtype=np.int64)
+    counts[zero] = np.bincount(g, minlength=radix) - (upto[first + width] - upto[first])
+    counts[~zero] = above
     counts = counts.ravel()
     cells = np.flatnonzero(counts)
     return cells, counts[cells]
@@ -219,9 +312,9 @@ def _cmi_terms(p, margin) -> np.ndarray:
 
 # n rows of named columns as the kernel reads them: `column(name)` gives (codes,
 # cardinality).  Row i has mass weights[i], or 1/n where weights is None, and
-# then the table may give a column's `card(name)` alone and its `planes(name)`.
+# then the table may hold its columns' complement planes in a `_PlaneStore`.
 # `JointDistribution` and `data.Dataset` each build theirs once, at construction.
-_Table = namedtuple("_Table", "column card n weights planes")
+_Table = namedtuple("_Table", "column n weights planes")
 
 
 class _Rows:
@@ -249,8 +342,15 @@ class _Rows:
             return np.bincount(at, weights=p)[at]
 
         t = (terms or (_cmi_terms if len(self.comps) == 3 else _mi_terms))(p, margin)
-        total = (np.sum(t, keepdims=True) if self.k == 1 else
-                 _segment_sums(t, np.searchsorted(self.which, np.arange(self.k + 1))))
+        if self.k == 1:
+            total = np.sum(t, keepdims=True)
+        else:
+            bounds = np.searchsorted(self.which, np.arange(self.k + 1))
+            size = len(t) // self.k
+            # rows of one length: numpy sums each row of the matrix as np.sum
+            # sums it alone
+            total = (t.reshape(self.k, size).sum(axis=1) if (np.diff(bounds) == size).all()
+                     else _segment_sums(t, bounds))
         return np.where(total < ZERO_TOL, 0.0, total)
 
     def marginal(self) -> _Rows:
@@ -283,11 +383,15 @@ def _layout(table, groups):
 def _rows(cells, counts, cards, radix, parts, table) -> _Rows:
     """The `_Rows` of a block's counted layout, in which candidate f's cell
     (a, b) for f = a and the groups' code b sits at start(f) + a * radix + b."""
+    which = np.zeros(len(cells), dtype=np.int64)
     if len(cards) == 1:
-        which, local = np.zeros(len(cells), dtype=np.int64), cells
+        local = cells
     else:
-        start = np.cumsum([0] + [card * radix for card in cards[:-1]])
-        which = np.searchsorted(start, cells, side="right") - 1
+        size = np.array(cards) * radix
+        start = np.cumsum(size) - size
+        # every candidate has a cell, so the next one starts a cell later
+        which[np.searchsorted(cells, start[1:])] = 1
+        which = np.cumsum(which)
         local = cells - start[which]
     value, b = np.divmod(local, radix)
     comps = [(value, max(cards))] + [(b if part is None else part[b], c) for part, c in parts]
@@ -300,9 +404,10 @@ def _row_tables(table, candidates, groups):
     counted.  A candidate is a column (a name or a View), or a tuple of them
     coded into one with `_code` and checked as a per-call measure's X group is.
 
-    A block of named columns of a table with planes whose tables hold at most
-    PLANE_CELLS cells per candidate is counted by popcount over them, reading
-    no codes; any other by `bincount`.  Both give the same counts.
+    A block of named columns of a table with planes that costs at most
+    PLANE_CELLS pairs of values per candidate (`_count_planes`) is counted by
+    popcount over their complement planes, reading no codes; any other by
+    `bincount`.  Both give the same counts.
     """
     groups = _check_disjoint(*groups)
     groups = groups[:1] + [grp for grp in groups[1:] if grp]   # I(f;Y|{}) is I(f;Y)
@@ -312,14 +417,16 @@ def _row_tables(table, candidates, groups):
                                                    or not fixed.isdisjoint(x)):
             _check_disjoint(x, *groups)
     g, radix, parts = _layout(table, groups)
+    store = table.planes
     per_block = max(1, BLOCK_CODES // table.n)
     for i in range(0, len(candidates), per_block):
         block = candidates[i:i + per_block]
-        columns = table.planes and all(isinstance(f, str) for f in block)
-        cards = [table.card(f) for f in block] if columns else None
-        if cards and sum(cards) * radix <= PLANE_CELLS * len(block):
-            cells, counts = _count_planes(np.concatenate([table.planes(f) for f in block]),
-                                          g, radix)
+        at = None if store is None else store.slots(block)
+        cards = None if at is None else store.cards[at]
+        if (cards is not None
+                and np.maximum(cards - 1, 1).sum() * (radix - 1) <= PLANE_CELLS * len(block)):
+            cells, counts = _count_planes(*store.rows(at), cards, g, radix)
+            cards = cards.tolist()
         else:
             cols = [_code([table.column(v) for v in f], table.n) if isinstance(f, tuple)
                     else table.column(f) for f in block]
@@ -395,7 +502,7 @@ def total_correlation(dist: JointDistribution, vars) -> float:
     vs, = _check_disjoint(vars)
     if len(vs) < 2:
         raise ValueError("total_correlation needs at least two variables")
-    tc = sum(entropy(dist, v) for v in vs) - entropy(dist, vs)
+    tc = _sum_in_order(entropy(dist, v) for v in vs) - entropy(dist, vs)
     return max(clip_zero(tc), 0.0)
 
 

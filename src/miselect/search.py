@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import data as _d
-from .criteria import CriterionSpec, PairCache, score_all
+from .criteria import CriterionSpec, PairCache, _warn, score_all
 
 TIE_TOL = 1e-9
 DEFAULT_THRESHOLD = 1e-6  # bits
@@ -92,12 +92,15 @@ def _search(spec: CriterionSpec, ds: _d.Dataset, start: tuple[str, ...],
 
     An add with no candidate left, or a remove from an empty S, is skipped
     and the round goes on.  An add whose best score is below `threshold`
-    ends the search; so does a round that leaves S unchanged.
+    ends the search; so does a round that leaves S unchanged.  An add at the
+    S of the last add, as after a remove that takes that add back, gives the
+    last add's board again, warnings and all, rather than scoring it anew.
     """
     cache = PairCache(ds)
     S = list(start)
     steps: list[Step] = []
     stop = None
+    last = None                    # the S and board of the last add
     while stop is None and len(S) != k:
         before = frozenset(S)
         for direction in moves:
@@ -105,7 +108,11 @@ def _search(spec: CriterionSpec, ds: _d.Dataset, start: tuple[str, ...],
                 candidates = [f for f in ds.feature_names if f not in S]
                 if not candidates:
                     continue
-                board = score_all(spec, candidates, tuple(S), ds, cache=cache)
+                if last is not None and last[0] == tuple(S):
+                    board = _warn(last[1])
+                else:
+                    board = score_all(spec, candidates, tuple(S), ds, cache=cache)
+                    last = tuple(S), board
                 if threshold is not None and board.best() < threshold:
                     stop = "threshold"
                     break

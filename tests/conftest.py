@@ -1,4 +1,6 @@
+import builtins
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -46,3 +48,12 @@ def random_dataset(rng, n, m, card=3, class_card=2):
         feature_names=tuple(f"f{i}" for i in range(m)),
         target_name="y",
     )
+
+
+def compensated_sum(items, start=0, _builtin=builtins.sum):
+    """The builtin `sum` as Python 3.12 made it for floats: compensated (here
+    correctly rounded, by `math.fsum`); as before for anything else."""
+    items = list(items)
+    if items and all(type(v) is float for v in items):
+        return math.fsum([start, *items])
+    return _builtin(items, start)

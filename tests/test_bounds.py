@@ -1,4 +1,6 @@
+import builtins
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from miselect import (
     mutual_information,
 )
 
-from conftest import random_distribution, random_dataset
+from conftest import compensated_sum, random_distribution, random_dataset
 
 
 def test_uninformative_feature_binary_class():
@@ -138,5 +140,21 @@ def _exact_error_cases():
 def test_exact_error_unchanged_bit_for_bit():
     cases = list(_exact_error_cases())
     assert any(0.0 in d.mass.values() for d, *_ in cases)
+    for dist, f, c, expected in cases:
+        assert bayes_error_bounds(dist, f, c).exact.hex() == expected
+
+
+def test_exact_error_independent_of_the_builtin_sum(monkeypatch):
+    """The pinned exact errors hold where the builtin sum compensates float
+    sums (Python 3.12 and later), which gives other last bits here."""
+    cases = list(_exact_error_cases())
+    compensated = []
+    for dist, f, c, expected in cases:
+        best = {}
+        for state, p in dist.marginal_mass(tuple(f) + (c,)).items():
+            best[state[:-1]] = max(best.get(state[:-1], 0.0), p)
+        compensated.append((1.0 - math.fsum(best.values())).hex() != expected)
+    assert any(compensated)
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
     for dist, f, c, expected in cases:
         assert bayes_error_bounds(dist, f, c).exact.hex() == expected

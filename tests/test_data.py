@@ -91,6 +91,20 @@ class TestQuantizeColumn:
         with pytest.raises(ValueError, match="non-finite"):
             quantize_column([1.0, bad, 2.0, 3.0], QuantizerSpec(strategy, 2))
 
+    @pytest.mark.parametrize("values, spec, dtype", [
+        (np.arange(1000.0), QuantizerSpec("equal-frequency", 5), np.int8),
+        (np.arange(1000.0), QuantizerSpec("equal-width", 5), np.int8),
+        (np.full(10, 3.7), QuantizerSpec("equal-width", 5), np.int8),
+        (np.arange(127.0), QuantizerSpec("pass-through"), np.int8),
+        (np.arange(128.0), QuantizerSpec("pass-through"), np.int16),
+        (np.arange(40_000.0), QuantizerSpec("pass-through"), np.int32),
+    ])
+    def test_codes_in_narrowest_dtype(self, values, spec, dtype):
+        """The codes come in the narrowest signed dtype that holds the
+        cardinality, as a Dataset holds them."""
+        codes, card = quantize_column(values, spec)
+        assert codes.dtype == dtype == mdata._code_dtype([card])
+
 
 class TestLoadCsv:
     def test_example1_roundtrip(self, ex1_csv):
@@ -363,6 +377,27 @@ class TestCsvFastPassGuards:
         assert ds.n == 20_000 and ds.feature_cards == (5,) * 12 and ds.class_card == 3
         assert peak <= 6_000_000, peak
 
+    def test_load_csv_memory_per_column(self, tmp_path):
+        """Past 32,767 rows too, load_csv holds per feature column its float64
+        values and its narrow codes, about 9 bytes a row: it writes no
+        int32 code matrix for Dataset to narrow (about 12 bytes a row)."""
+        n, rng, peaks = 33_000, np.random.default_rng(1), {}
+        for m in (2, 10):
+            values = np.column_stack([rng.normal(size=(n, m)), rng.integers(0, 3, n)])
+            path = tmp_path / f"m{m}.csv"
+            np.savetxt(path, values, delimiter=",", fmt=["%.17g"] * m + ["%d"], comments="",
+                       header=",".join([f"v{j}" for j in range(m)] + ["C"]))
+            del values
+            tracemalloc.start()
+            try:
+                ds = load_csv(path, "C")
+                peaks[m] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert ds.features.dtype == np.int8 and ds.feature_cards == (5,) * m
+        per_row_and_column = (peaks[10] - peaks[2]) / (8 * n)
+        assert per_row_and_column <= 10, per_row_and_column
+
 
 def _load_or_error(path):
     try:
@@ -517,6 +552,53 @@ class TestFastEstimators:
             assert counted == [1]
             assert got == [mdata.conditional_mutual_information(ds, [f], y, z)
                            for f in names[:5]]
+
+
+    def test_row_over_one_column_builds_its_planes_only(self, monkeypatch):
+        """The Dataset builds a column's complement planes the first time a
+        row counts it by planes, and no other column's."""
+        ds = random_dataset(np.random.default_rng(13), n=300, m=6, card=3)
+        built = []
+        planes = info._planes
+        monkeypatch.setattr(info, "_planes", lambda code, card: built.append(
+            np.shares_memory(code, ds.features)) or planes(code, card))
+        store = ds._table.planes
+        for _ in range(2):
+            mdata.mutual_information_row(ds, ["f3"], ["y"])
+        assert built.count(True) == 1
+        assert [v for v in store.names if store.built[store.slot[v]]] == ["f3"]
+
+    def test_one_valued_candidate_costs_one_plane_value(self, monkeypatch):
+        """In the plane rule a one-valued candidate costs as one value, so
+        against a group of n values it is counted by codes and builds no
+        plane per group value; against the class it is still counted by
+        planes."""
+        n = 5000
+        rng = np.random.default_rng(15)
+        feats = np.column_stack([np.zeros(n, dtype=np.int64), rng.permutation(n),
+                                 rng.integers(0, 2, n)])
+        ds = Dataset(feats, rng.integers(0, 2, n), (1, n, 2), 2, ("const", "id", "b"), "y")
+        by_planes = []
+        count_planes = info._count_planes
+        monkeypatch.setattr(info, "_count_planes", lambda planes, pops, cards, g, radix: (
+            by_planes.append(radix) or count_planes(planes, pops, cards, g, radix)))
+        for cands in (["const"], ["const", "b"]):
+            assert mdata.mutual_information_row(ds, cands, ["id"]) == [
+                mdata.mutual_information(ds, [f], ["id"]) for f in cands]
+        assert by_planes == []
+        mdata.mutual_information_row(ds, ["const", "b"], ["y"])
+        assert by_planes == [2]
+
+    def test_plane_memory(self):
+        """A Dataset's planes take (card - 1) * ceil(n / 64) * 8 bytes for each
+        column: value 0 has no plane."""
+        rng = np.random.default_rng(14)
+        feats = np.column_stack([rng.integers(0, c, 1000) for c in (2, 3, 5, 1)])
+        ds = Dataset(feats, rng.integers(0, 2, 1000), (2, 3, 5, 1), 2,
+                     ("a", "b", "c", "d"), "y")
+        mdata.mutual_information_row(ds, ["a", "b", "c", "d"], ["y"])
+        store = ds._table.planes
+        assert store.planes.nbytes == (1 + 2 + 4 + 0 + 1) * -(-1000 // 64) * 8
 
 
 class TestOverlapRejected:

@@ -1,9 +1,14 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from miselect import SyntheticSpec, classify_relevance, example1, generate
+from miselect import SyntheticSpec, classify_relevance, datagen, example1, generate
 from miselect import data as mdata
 from miselect.structure import IRRELEVANT, minimal_sufficient_subsets
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestExample1:
@@ -101,6 +106,39 @@ class TestGenerate:
             chosen = set(s.features)
             assert not (chosen & noise)
             assert len(chosen & duplicates) <= 1
+
+    def test_codes_do_not_depend_on_the_draw_block(self, monkeypatch):
+        """Base columns drawn as int64 a few rows at a time continue one
+        stream: the codes equal those of one whole draw, label flips too."""
+        spec = SyntheticSpec(n=1000, relevant=2, xor_groups=1, redundant_copies=1, noise=3,
+                             flip_prob=0.2, seed=4)
+        whole, roles = generate(spec)
+        for rows in (1, 3, 333):
+            monkeypatch.setattr(datagen, "DRAW_VALUES", 7 * rows)   # 7 base columns
+            ds, again = generate(spec)
+            assert np.array_equal(ds.features, whole.features) and again == roles
+            assert np.array_equal(ds.class_codes, whole.class_codes)
+
+    def test_golden_gen_csv_reproduced(self):
+        """tests/golden/gen.csv holds the codes generate draws for this spec."""
+        ds, _ = generate(SyntheticSpec(n=400, relevant=2, xor_groups=2, redundant_copies=2,
+                                       noise=5, flip_prob=0.1, seed=7))
+        want = np.loadtxt(GOLDEN / "gen.csv", delimiter=",", skiprows=1, dtype=np.int64)
+        assert np.array_equal(ds.features, want[:, :-1])
+        assert np.array_equal(ds.class_codes, want[:, -1])
+
+    def test_memory_peak(self):
+        """The codes are drawn into an int8 matrix: at n=10k, m=100 the traced
+        peak is a few bytes per code (17 MiB, 18 per code, when an int64 base
+        and an int64 column stack came first)."""
+        tracemalloc.start()
+        try:
+            ds, _ = generate(SyntheticSpec(n=10_000, relevant=3, xor_groups=2,
+                                           redundant_copies=3, noise=90, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.m == 100 and peak <= 4 * ds.n * ds.m, peak
 
     def test_metadata_records_generator(self):
         ds, _ = generate(SyntheticSpec(n=50, relevant=1, seed=5))

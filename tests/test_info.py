@@ -1,5 +1,7 @@
 import ast
+import builtins
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ from miselect import (
     total_correlation,
 )
 
-from conftest import H_C, I_X1_C, random_distribution
+from conftest import H_C, I_X1_C, compensated_sum, random_distribution
 
 APPROX = dict(abs=1e-9)
 
@@ -233,6 +235,24 @@ class TestTotalCorrelation:
         dist, _ = ex1
         assert total_correlation(dist, ["x1", "C"]) == pytest.approx(
             mutual_information(dist, "x1", "C"), **APPROX)
+
+    def test_entropies_summed_in_order(self, monkeypatch):
+        """sum_i H(f_i) is summed left to right, also where the builtin sum
+        compensates float sums (Python 3.12 and later), which gives other
+        last bits on some of these distributions."""
+        dists = [random_distribution(np.random.default_rng(seed), [2, 3, 2, 3, 2])
+                 for seed in range(10)]
+        want, differs = [], []
+        for d in dists:
+            hs = [entropy(d, v) for v in d.variables]
+            in_order = 0.0
+            for h in hs:
+                in_order += h
+            want.append(in_order - entropy(d, d.variables))
+            differs.append(in_order != math.fsum(hs))
+        assert any(differs)
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        assert [total_correlation(d, d.variables) for d in dists] == want
 
 
 class TestJointMiDecomposition:

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from miselect import (CriterionSpec, Dataset, QuantizerSpec, RelevanceLevel, StructureReport,
@@ -231,10 +231,92 @@ def test_plane_counts_equal_code_counts(ds, data):
     g, radix = info._code(fixed, ds.n)
     cols = [ds.codes(f) for f in names[b:]]
     cells, counts, cards = info._count_codes(cols, g, radix, ds.n)
-    got = info._count_planes(np.concatenate([info._planes(*col) for col in cols]), g, radix)
+    planes = np.concatenate([info._planes(*col)[1:] for col in cols])   # values 1..card-1
+    got = info._count_planes(planes, np.bitwise_count(planes).sum(axis=1),
+                             np.array([card for _, card in cols]), g, radix)
     assert np.array_equal(got[1], counts)
     if cards == [card for _, card in cols]:   # else ranked: other cell numbers, same order
         assert np.array_equal(got[0], cells)
+
+
+def _fixed_groups(ds, data):
+    """A permutation of the columns and the class, split into fixed groups Y
+    (one or two columns) and Z (none to two), and the candidates after them."""
+    names = data.draw(st.permutations(list(ds.feature_names) + [ds.target_name]))
+    a = data.draw(st.integers(1, min(2, len(names) - 1)))
+    b = data.draw(st.integers(a, min(a + 2, len(names) - 1)))
+    return [names[:a], names[a:b]], names[b:]
+
+
+@SETTINGS
+@given(kernel_datasets(), st.sampled_from([1, 2, 3, None]), st.data())
+def test_complement_planes_count_as_codes(ds, per_block, data):
+    """Rows counted over complement planes hold the counts, candidates and
+    group codes of the rows counted by codes, block by block, and give the
+    same values: for cardinalities that include 1 and some declared above
+    the codes, fixed groups that include the class or two columns, and
+    candidates split into blocks by BLOCK_CODES."""
+    groups, cands = _fixed_groups(ds, data)
+    store = ds._table.planes
+    saved = info.PLANE_CELLS, info.BLOCK_CODES
+    info.PLANE_CELLS = 10**9
+    info.BLOCK_CODES = per_block * ds.n if per_block else saved[1]
+    try:
+        by_planes = list(info._row_tables(ds._table, cands, groups))
+        by_codes = list(info._row_tables(ds._table._replace(planes=None), cands, groups))
+    finally:
+        info.PLANE_CELLS, info.BLOCK_CODES = saved
+    assert all(store.built[store.slot[f]] for f in cands)
+    unranked = max(ds.codes(f)[1] for f in cands) <= ds.n
+    assert len(by_planes) == len(by_codes)
+    for got, want in zip(by_planes, by_codes):
+        assert got.counts.tolist() == want.counts.tolist()
+        assert got.which.tolist() == want.which.tolist()
+        for (code, card), (code_want, card_want) in zip(got.comps[1:], want.comps[1:]):
+            assert (code.tolist(), card) == (code_want.tolist(), card_want)
+        if unranked:   # else the codes are ranked: other values, same order
+            assert got.comps[0][0].tolist() == want.comps[0][0].tolist()
+        assert got.values().tolist() == want.values().tolist()
+
+
+@SETTINGS
+@given(st.sampled_from([1, 7, 300, 20_000]), st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       st.integers(1, 3), st.integers(0, 2**32 - 1))
+@example(20_000, [1, 1], 2, 3)   # cardinalities 2 and 1, radix 18,869: int32 codes
+def test_narrow_bincounts_equal_int64_codes(n, scales, radix_scale, seed):
+    """Unweighted, one bincount per candidate, of codes in int16 or int32 as
+    its layout needs, holds the cells and counts of the block's int64
+    block-offset codes (the weighted path, here with unit weights): for
+    cardinalities 1 to 2n, some ranked past n, group radices 1 to n, and
+    layouts past 2**15 cells, counted by bincount or by sort."""
+    rng = np.random.default_rng(seed)
+    size = lambda scale: int(rng.integers(1, [3, n + 1, 2 * n + 1][scale - 1]))
+    cols = []
+    for scale in scales:
+        card = size(scale)
+        col = rng.integers(0, card, n)
+        cols.append((col.astype(np.int8) if card <= 127 else col, card))
+    radix = min(size(radix_scale), n)
+    g = rng.integers(0, radix, n)
+    cells, counts, cards = info._count_codes(cols, g, radix, n)
+    want_cells, want_counts, want_cards = info._count_codes(cols, g, radix, n, np.ones(n))
+    assert cards == want_cards
+    assert cells.tolist() == want_cells.tolist()
+    assert counts.tolist() == want_counts.tolist()
+
+
+@SETTINGS
+@given(st.integers(2, 5), st.integers(0, 2**32 - 1))
+def test_equal_segments_sum_as_segment_sums(k, seed):
+    """Segments of one length L, summed as the rows of a (k, L) matrix, equal
+    `_segment_sums` of them, for every L from 1 to 130 (past numpy's
+    128-term block, where its pairwise sum recurses)."""
+    rng = np.random.default_rng(seed)
+    for length in range(1, 131):
+        terms = rng.normal(size=k * length) * 10.0 ** rng.integers(-12, 2, size=k * length)
+        bounds = np.arange(k + 1) * length
+        assert np.array_equal(terms.reshape(k, length).sum(axis=1),
+                              info._segment_sums(terms, bounds))
 
 
 @SETTINGS

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from miselect import (
     forward_select,
     generate,
     plus_l_take_away_r,
+    score_all,
 )
 from miselect import data as mdata
-from miselect import structure
+from miselect import search, structure
 
 from conftest import H_C
 
@@ -231,3 +233,61 @@ class TestTraceSerialization:
         a = forward_select(CriterionSpec("jmi"), ds, k=3).to_json()
         b = forward_select(CriterionSpec("jmi"), ds, k=3).to_json()
         assert a == b
+
+
+class TestBoardReuse:
+    """An add at the S of the last add, as after a remove that takes that add
+    back, gives the last board again instead of scoring it anew."""
+
+    SPEC = SyntheticSpec(n=2000, relevant=3, xor_groups=2, redundant_copies=3, noise=20,
+                         flip_prob=0.05, seed=1)
+
+    @staticmethod
+    def _adds(trace):
+        """The S before each add step, from the trace."""
+        S, out = list(trace.start), []
+        for step in trace.steps:
+            if step.direction == "add":
+                out.append(tuple(S))
+                S.append(step.chosen)
+            else:
+                S.remove(step.chosen)
+        return out
+
+    @pytest.mark.parametrize("kind, reused", [("md", 6), ("jmi", 2)])
+    def test_scores_once_per_distinct_selected_set(self, kind, reused, monkeypatch):
+        ds, _ = generate(self.SPEC)
+        scored = []
+        score_all = search.score_all
+
+        def counting(spec, candidates, S, *args, **kwargs):
+            scored.append(tuple(S))
+            return score_all(spec, candidates, S, *args, **kwargs)
+        monkeypatch.setattr(search, "score_all", counting)
+        trace = plus_l_take_away_r(CriterionSpec(kind), ds, l=2, r=1, k=8)
+        adds = self._adds(trace)
+        assert len(adds) == 16 and len(adds) - len(set(adds)) == reused
+        assert scored == list(dict.fromkeys(adds))
+        # JMI's scores keep each pair's first orientation in the search's cache
+        if kind == "md":
+            for S, step in zip(adds, (st for st in trace.steps if st.direction == "add")):
+                candidates = [f for f in ds.feature_names if f not in S]
+                assert step.scores == score_all(CriterionSpec(kind), candidates, S, ds).scores
+
+    def test_reused_board_warns_again(self):
+        """MMD's sparse-support warnings of a reused board come again, in
+        order: the search warns what scoring each add anew would."""
+        ds, _ = generate(SyntheticSpec(n=60, relevant=2, xor_groups=1, noise=5, seed=3))
+        spec = CriterionSpec("mmd")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            trace = plus_l_take_away_r(spec, ds, l=2, r=1, k=4)
+        got = [str(w.message) for w in caught]
+        adds = self._adds(trace)
+        assert len(set(adds)) < len(adds)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for S in adds:
+                score_all(spec, [f for f in ds.feature_names if f not in S], S, ds)
+        want = [str(w.message) for w in caught]
+        assert want and got == want
