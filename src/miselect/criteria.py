@@ -80,7 +80,7 @@ class PairCache:
         self.ds = ds
         self.target = ds.target_name
         self.candidates = ()
-        self._rows: dict[tuple, np.ndarray] = {}      # (statistic, *features) -> row
+        self._rows: dict[str, dict[tuple, np.ndarray]] = {}   # statistic -> {columns: row}
 
     @property
     def candidates(self) -> tuple[str, ...]:
@@ -91,18 +91,21 @@ class PairCache:
         self._candidates = tuple(names)
         self._cols = np.array([self.ds.column_index(c) for c in self._candidates], dtype=int)
 
-    def _row(self, *key) -> np.ndarray:
-        if key not in self._rows:
-            self._rows[key] = np.full(self.ds.m, np.nan)
-        return self._rows[key]
+    def _row(self, stat: str, *features: str) -> np.ndarray:
+        rows = self._rows.setdefault(stat, {})
+        key = tuple(map(self.ds.column_index, features))
+        if key not in rows:
+            rows[key] = np.full(self.ds.m, np.nan)
+        return rows[key]
 
     def _pair_row(self, stat: str, s: str) -> np.ndarray:
-        """The row of s of a symmetric statistic, with its pairs in other rows copied in."""
-        row = self._row(stat, s)
-        j = self.ds.column_index(s)
-        for (name, *c), other in self._rows.items():
-            if name == stat and np.isnan(row[i := self.ds.column_index(c[0])]):
-                row[i] = other[j]
+        """The row of s of a symmetric statistic, with its pairs in the
+        statistic's other rows copied in where missing: those rows are keyed
+        by the column of their feature, so one gather fills the row."""
+        row, j, rows = self._row(stat, s), self.ds.column_index(s), self._rows[stat]
+        at = np.array([i for i, in rows])
+        hole = np.isnan(row[at])
+        row[at[hole]] = [other[j] for other, empty in zip(rows.values(), hole) if empty]
         return row
 
     def _fill(self, row: np.ndarray, y, z=(), plain: str | None = None) -> np.ndarray:

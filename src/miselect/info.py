@@ -178,44 +178,37 @@ class _PlaneStore:
 
 def _count_codes(cols, g, radix, n, weights=None):
     """The nonzero cells of the block layout and their counts, or summed
-    `weights` over the rows, and the candidates' cardinalities in it.
-    Unweighted, each candidate takes one `np.bincount` of its mixed-radix
-    codes, in the narrowest dtype from int16 that holds them; weighted, the
-    block takes one of block-offset int64 codes.  Either takes a sort when
-    the layout passes twice the number of codes.  A column whose cardinality
+    `weights` over the rows, and the candidates' cardinalities in it.  Each
+    candidate takes one `np.bincount` of its mixed-radix codes, in the
+    narrowest dtype from int16 that holds them, or a sort when the block's
+    layout passes twice its number of codes.  A column whose cardinality
     passes n is ranked first."""
     cols = [_ranks(col, card) if card > n else (col, card) for col, card in cols]
     cards = [card for _, card in cols]
-    if weights is None and sum(cards) * radix <= 2 * n * len(cols):
-        dtype = np.result_type(np.int16, np.min_scalar_type(max(cards) * radix))
-        g = np.asarray(g, dtype=dtype)
-        code = np.empty(n, dtype=dtype)
-        counts = []
-        for col, card in cols:
-            np.multiply(col, radix, out=code, dtype=dtype)
-            code += g
-            counts.append(np.bincount(code, minlength=card * radix))
-        counts = np.concatenate(counts)
-        cells = np.flatnonzero(counts)
-        return cells, counts[cells], cards
-    code = np.empty((len(cols), n), dtype=np.int64)
-    start = 0
-    for row, (col, card) in zip(code, cols):
-        np.multiply(col, radix, out=row, dtype=np.int64)
-        row += g
-        row += start
+    dense = sum(cards) * radix <= 2 * n * len(cols)
+    dtype = np.result_type(np.int16, np.min_scalar_type(max(cards) * radix))
+    g = np.asarray(g, dtype=dtype)
+    code = np.empty(n, dtype=dtype)
+    cells, counts, start = [], [], 0
+    for col, card in cols:
+        np.multiply(col, radix, out=code, dtype=dtype)
+        code += g
+        if dense:   # the layout's cells in order, zeros too
+            counts.append(np.bincount(code, weights, minlength=card * radix))
+            continue
+        if weights is None:
+            at, count = np.unique(code, return_counts=True)
+        else:
+            at, inverse = np.unique(code, return_inverse=True)
+            count = np.bincount(inverse, weights)
+        cells.append(at.astype(np.int64) + start)
+        counts.append(count)
         start += card * radix
-    code = code.ravel()
-    if weights is not None and len(cols) > 1:
-        weights = np.tile(weights, len(cols))
-    if start <= 2 * code.size:
-        counts = np.bincount(code, weights=weights)
-        cells = np.flatnonzero(counts)
-        return cells, counts[cells], cards
-    if weights is None:
-        return *np.unique(code, return_counts=True), cards
-    cells, at = np.unique(code, return_inverse=True)
-    return cells, np.bincount(at, weights=weights), cards
+    counts = np.concatenate(counts)
+    if dense:
+        cells = [np.flatnonzero(counts)]
+        counts = counts[cells[0]]
+    return np.concatenate(cells), counts, cards
 
 
 def _count_planes(planes, pops, cards, g, radix):

@@ -1,14 +1,16 @@
 """Exact structural analyses on small feature sets.
 
-Relevance levels, Markov blankets and sufficient subsets (by the
-mutual-information deficit).  By the chain rule, for R = F \\ f \\ M,
-I(f; C u R | M) = I(f; R | M) + I(f; C | F \\ f): so F \\ f is a Markov
-blanket of f exactly when f is not strongly relevant, and a strongly
-relevant feature has no blanket.  A blanket M also gives I(f; C | S) <=
-I(f; C u R | M) <= eps for every S from M up to F \\ f, so no such S is a
-weak-relevance witness or a further minimal blanket: one walk over the
-subsets of F \\ f, skipping them, finds both.  The walks are exhaustive,
-so all of these are limited to small feature sets.
+Relevance levels, Markov blankets and sufficient subsets, each decided by a
+mutual-information deficit read from rows of I(T; target) (`_mi_row`).  S
+suffices when I(F;C) - I(S;C) <= eps.  With V = F u {C} and R = F \\ f \\ M,
+the chain rule gives the blanket test I(f; C u R | M) = I(f; V \\ f) -
+I(f; M), the witness test I(f;C|M) = I(f; M u C) - I(f; M), and also
+I(f; C u R | M) = I(f; R | M) + I(f; C | F \\ f): so F \\ f is a blanket of
+f exactly when f is not strongly relevant, and a strongly relevant feature
+has no blanket.  A blanket M gives I(f; C | S) <= I(f; C u R | M) <= eps for
+every S from M up to F \\ f, so no such S is a witness or a further minimal
+blanket: one walk over the subsets of F \\ f, skipping them, finds both.
+The walks are exhaustive, so all of these are limited to small feature sets.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import data as _d
-from .info import clip_zero
+from .info import _check_disjoint, clip_zero
 
 MAX_EXHAUSTIVE_FEATURES = 20
 EXACT_EPS = 1e-9   # default tolerance (bits) for every "is this (C)MI zero?" test
@@ -103,14 +105,13 @@ def classify_relevance(ds: _d.Dataset, f: str, eps: float = EXACT_EPS) -> Releva
 
 
 def is_markov_blanket(ds: _d.Dataset, f: str, M, eps: float = EXACT_EPS) -> bool:
-    """True iff I(f; {C} u (F \\ {f} \\ M) | M) <= eps."""
+    """True iff I(f; {C} u (F \\ {f} \\ M) | M) <= eps, read as the deficit
+    I(f; V \\ f) - I(f; M) from one row."""
     _check(None, eps)
     M = tuple(M)
-    if f in M:
-        raise ValueError(f"candidate blanket contains {f!r}")
-    rest = [v for v in ds.feature_names if v != f and v not in M]
-    block = [ds.target_name] + rest
-    return _d.conditional_mutual_information(ds, [f], block, list(M)) <= eps
+    _check_disjoint([f], [ds.target_name], M)
+    rest = tuple(v for v in ds.feature_names if v != f)
+    return _deficit(*_mi_row(ds, [rest + (ds.target_name,), M], f)) <= eps
 
 
 def find_minimal_markov_blankets(ds: _d.Dataset, f: str,
@@ -122,39 +123,46 @@ def find_minimal_markov_blankets(ds: _d.Dataset, f: str,
 
 
 def _walk(ds: _d.Dataset, f: str, eps: float) -> tuple[RelevanceLevel, list[tuple[str, ...]]]:
-    """The level of `f` and its minimal blankets by increasing size.  Past
-    the test of F \\ f, supersets of a blanket found are skipped, and I(f;C|M)
-    is measured only while no witness is known and M is no blanket."""
+    """The level of `f` and its minimal blankets by increasing size.  F \\ f
+    is coded once; a row of I(M; f) per subset size then tests the subsets
+    M that are no superset of a blanket found, and while no witness is
+    known, a second row of I(M + C; f) tests those that are no blanket."""
+    C = ds.target_name
     rest = [v for v in ds.feature_names if v != f]
-    if not is_markov_blanket(ds, f, rest, eps):
+    view = _d.View(*_d.composite_view(ds, rest))
+    full, other = _mi_row(ds, [(view, C), (view,)], f)
+    if _deficit(full, other) > eps:
         return RelevanceLevel(STRONGLY_RELEVANT), []
     witness, found = None, []
     for size in range(len(rest)):
-        for M in combinations(rest, size):
-            if any(set(prev) <= set(M) for prev in found):
-                continue
-            if is_markov_blanket(ds, f, M, eps):
-                found.append(M)
-            elif witness is None and _d.conditional_mutual_information(
-                    ds, [f], [ds.target_name], list(M)) > eps:
-                witness = M
+        subsets = [M for M in combinations(rest, size)
+                   if not any(map(set(M).issuperset, found))]
+        parts = _mi_row(ds, subsets, f)
+        open_ = [(M, part) for M, part in zip(subsets, parts) if _deficit(full, part) > eps]
+        found += [M for M, part in zip(subsets, parts) if _deficit(full, part) <= eps]
+        if witness is None:
+            joint = _mi_row(ds, [M + (C,) for M, _ in open_], f)
+            witness = next((M for (M, part), both in zip(open_, joint)
+                            if _deficit(both, part) > eps), None)
     level = IRRELEVANT if witness is None else WEAKLY_RELEVANT
     return RelevanceLevel(level, witness), found or [tuple(rest)]
 
 
-def _mi_with_class(ds: _d.Dataset, S) -> float:
-    """I(S;C), 0 for the empty S."""
-    return _d.mutual_information(ds, list(S), [ds.target_name]) if S else 0.0
+def _mi_row(ds: _d.Dataset, subsets, target: str) -> list[float]:
+    """I(T; target) for each subset or name T of a list, in one row; 0 for empty T."""
+    values = iter(_d.mutual_information_row(ds, [T for T in subsets if T], [target])
+                  if any(subsets) else ())
+    return [next(values) if T else 0.0 for T in subsets]
 
 
 def _deficit(full: float, part: float) -> float:
-    """The deficit I(F;C) - I(S;C), clipped at 0."""
+    """The deficit full - part, as I(F;C) - I(S;C), clipped at 0."""
     return max(clip_zero(full - part), 0.0)
 
 
 def dmi(ds: _d.Dataset, S) -> float:
     """Mutual-information deficit of S: I(F;C) - I(S;C); 0 iff S suffices."""
-    return _deficit(_mi_with_class(ds, ds.feature_names), _mi_with_class(ds, list(S)))
+    return _deficit(*_mi_row(ds, [ds.feature_names, tuple(S)], ds.target_name))
 
 
 def _sufficiency(ds: _d.Dataset, eps: float, lagrange: float | None):
@@ -162,23 +170,18 @@ def _sufficiency(ds: _d.Dataset, eps: float, lagrange: float | None):
     minimum-cardinality subset whose deficit is within eps, by size: one row
     of I(S;C) over the subsets of each size."""
     _check(ds, eps, lagrange)
-    full = _mi_with_class(ds, ds.feature_names)
+    full, = _mi_row(ds, [ds.feature_names], ds.target_name)
     if lagrange is None:
         lagrange = ds.m / full if full > eps else 1.0
     results: list[SufficientSubset] = []
     for size in range(ds.m + 1):
         subsets = list(combinations(ds.feature_names, size))
-        parts = _d.mutual_information_row(ds, subsets, [ds.target_name]) if size else [0.0]
-        for S, part in zip(subsets, parts):
+        for S, part in zip(subsets, _mi_row(ds, subsets, ds.target_name)):
             deficit = _deficit(full, part)
             if deficit <= eps:
                 results.append(SufficientSubset(
-                    features=S,
-                    dmi=deficit,
-                    mi_with_class=part,
-                    lagrangian=len(S) - lagrange * part,
-                    selected_info=_d.entropy(ds, list(S)) if S else 0.0,
-                ))
+                    S, dmi=deficit, mi_with_class=part, lagrangian=len(S) - lagrange * part,
+                    selected_info=_d.entropy(ds, list(S)) if S else 0.0))
         if results:
             break
     return full, lagrange, results
@@ -202,7 +205,7 @@ def analyze(ds: _d.Dataset, eps: float = EXACT_EPS,
     full, lagrange, sufficient = _sufficiency(ds, eps, lagrange)
     F = ds.feature_names
     walks = {f: _walk(ds, f, eps) for f in F}
-    parts = _d.mutual_information_row(ds, F, [ds.target_name])
+    parts = _mi_row(ds, F, ds.target_name)
     return StructureReport(
         relevance={f: level for f, (level, _) in walks.items()},
         markov_blankets={f: tuple(blankets) for f, (_, blankets) in walks.items()},

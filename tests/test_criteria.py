@@ -376,7 +376,7 @@ class TestPairCache:
 
 def _pair(cache, stat, s, f):
     """The entry of candidate f in the row of s of a PairCache statistic."""
-    return cache._rows[(stat, s)][cache.ds.column_index(f)]
+    return cache._rows[stat][cache.ds.column_index(s),][cache.ds.column_index(f)]
 
 
 def _arrays(obj):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from miselect import (CriterionSpec, Dataset, QuantizerSpec, RelevanceLevel, StructureReport,
                       analyze, classify_relevance, composite_view, empirical_distribution,
-                      find_minimal_markov_blankets, forward_select, load_csv,
+                      find_minimal_markov_blankets, forward_select, is_markov_blanket, load_csv,
                       plus_l_take_away_r, score, score_all)
 from miselect import data as mdata
 from miselect import info, search
@@ -284,11 +284,11 @@ def test_complement_planes_count_as_codes(ds, per_block, data):
        st.integers(1, 3), st.integers(0, 2**32 - 1))
 @example(20_000, [1, 1], 2, 3)   # cardinalities 2 and 1, radix 18,869: int32 codes
 def test_narrow_bincounts_equal_int64_codes(n, scales, radix_scale, seed):
-    """Unweighted, one bincount per candidate, of codes in int16 or int32 as
-    its layout needs, holds the cells and counts of the block's int64
-    block-offset codes (the weighted path, here with unit weights): for
-    cardinalities 1 to 2n, some ranked past n, group radices 1 to n, and
-    layouts past 2**15 cells, counted by bincount or by sort."""
+    """One bincount or sort per candidate, of codes in int16 or int32 as its
+    layout needs, holds the cells and counts that `np.unique` gives over the
+    block's stacked int64 block-offset codes, unweighted and with unit
+    weights: for cardinalities 1 to 2n, some ranked past n, group radices 1
+    to n, and layouts past 2**15 cells, counted by bincount or by sort."""
     rng = np.random.default_rng(seed)
     size = lambda scale: int(rng.integers(1, [3, n + 1, 2 * n + 1][scale - 1]))
     cols = []
@@ -298,11 +298,16 @@ def test_narrow_bincounts_equal_int64_codes(n, scales, radix_scale, seed):
         cols.append((col.astype(np.int8) if card <= 127 else col, card))
     radix = min(size(radix_scale), n)
     g = rng.integers(0, radix, n)
-    cells, counts, cards = info._count_codes(cols, g, radix, n)
-    want_cells, want_counts, want_cards = info._count_codes(cols, g, radix, n, np.ones(n))
-    assert cards == want_cards
-    assert cells.tolist() == want_cells.tolist()
-    assert counts.tolist() == want_counts.tolist()
+    ranked = [info._ranks(col, card) if card > n else (col, card) for col, card in cols]
+    size = np.array([card for _, card in ranked]) * radix
+    codes = [col.astype(np.int64) * radix + g + start
+             for (col, _), start in zip(ranked, np.cumsum(size) - size)]
+    want_cells, want_counts = np.unique(np.concatenate(codes), return_counts=True)
+    for weights in (None, np.ones(n)):
+        cells, counts, cards = info._count_codes(cols, g, radix, n, weights)
+        assert cards == [card for _, card in ranked]
+        assert cells.tolist() == want_cells.tolist()
+        assert counts.tolist() == want_counts.tolist()
 
 
 @SETTINGS
@@ -747,6 +752,20 @@ def test_standalone_analyses_equal_exhaustive_reference(ds, eps):
         assert classify_relevance(ds, f, eps) == _reference_relevance(ds, f, eps), f
         assert tuple(find_minimal_markov_blankets(ds, f, eps)) == \
             _reference_blankets(ds, f, eps), f
+
+
+@SETTINGS
+@given(structure_datasets(), st.sampled_from([0.0, 1e-9, 0.05]))
+def test_is_markov_blanket_equals_per_call_reference(ds, eps):
+    """`is_markov_blanket`, read as the deficit I(f; V \\ f) - I(f; M) from
+    one row, decides every M of the other features as the per-call
+    I(f; C u R | M) <= eps does, R being the features outside f and M."""
+    for f in ds.feature_names:
+        rest = [v for v in ds.feature_names if v != f]
+        for M in _all_subsets(rest):
+            block = [ds.target_name] + [v for v in rest if v not in M]
+            want = mdata.conditional_mutual_information(ds, [f], block, list(M)) <= eps
+            assert is_markov_blanket(ds, f, M, eps) == want, (f, M)
 
 
 # Pieces of CSV text: number parts, quoting and line ends, the missing-value

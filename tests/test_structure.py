@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from miselect import (
     minimal_sufficient_subsets,
 )
 from miselect import data as mdata
-from miselect import structure as mstructure
 from miselect.structure import IRRELEVANT, STRONGLY_RELEVANT, WEAKLY_RELEVANT
 
 from conftest import H_C, I_X1_C
@@ -29,6 +29,34 @@ def ex1_with_noise():
         relevant=1, xor_groups=1, redundant_copies=1, noise=1, exhaustive=True))
     assert roles["x5"] == "noise"
     return ds
+
+
+@pytest.fixture
+def no_per_call_measures(monkeypatch):
+    """Per-call MI and CMI raise: the analyses read only rows."""
+    def per_call(*args):
+        raise AssertionError("per-call measure")
+
+    for name in ("mutual_information", "conditional_mutual_information"):
+        monkeypatch.setattr(mdata, name, per_call)
+
+
+@pytest.fixture
+def rows(monkeypatch, no_per_call_measures):
+    """Each row measured, as (target, candidates), in call order."""
+    seen = []
+    row = mdata.mutual_information_row
+
+    def recording(ds, candidates, y, z=()):
+        seen.append((tuple(y), list(candidates)))
+        return row(ds, candidates, y, z)
+
+    monkeypatch.setattr(mdata, "mutual_information_row", recording)
+    return seen
+
+
+def _holds_view(candidate) -> bool:
+    return isinstance(candidate, tuple) and any(isinstance(v, mdata.View) for v in candidate)
 
 
 class TestClassifyRelevance:
@@ -47,20 +75,17 @@ class TestClassifyRelevance:
     def test_noise_is_irrelevant(self, ex1_with_noise):
         assert classify_relevance(ex1_with_noise, "x5").level == IRRELEVANT
 
-    def test_other_features_measured_once(self, ex1_with_noise, monkeypatch):
-        """I(x5;C|F\\x5) decides strong relevance and is not measured again.
-        The empty set is a blanket of x5, so the walk skips every other
-        subset: 2 measures."""
-        calls = []
-        cmi = mdata.conditional_mutual_information
-
-        def counting(ds, x, y, z):
-            calls.append(tuple(z))
-            return cmi(ds, x, y, z)
-
-        monkeypatch.setattr(mdata, "conditional_mutual_information", counting)
+    def test_other_features_measured_once(self, ex1_with_noise, rows):
+        """F \\ x5 is coded once, as a View, and one row of I(x5; F \\ x5, C)
+        and I(x5; F \\ x5) decides strong relevance.  The empty set is then a
+        blanket of x5, so the walk skips every other subset: no more rows."""
         assert classify_relevance(ex1_with_noise, "x5").level == IRRELEVANT
-        assert calls == [("x1", "x2", "x3", "x4"), ()]
+        (target, cands), = rows
+        view = cands[1][0]
+        assert target == ("x5",)
+        assert cands == [(view, "C"), (view,)]
+        rest = mdata.composite_view(ex1_with_noise, ["x1", "x2", "x3", "x4"])
+        assert (view.codes.tolist(), view.support) == (rest[0].tolist(), rest[1])
 
     def test_invariant_to_column_order(self):
         _, ds = example1()
@@ -114,21 +139,23 @@ class TestMarkovBlanket:
         _, ds = example1()
         assert find_minimal_markov_blankets(ds, "x2") == []
 
-    def test_strongly_relevant_tests_one_blanket(self, monkeypatch):
+    def test_strongly_relevant_tests_one_blanket(self, rows):
         # x2 is strongly relevant, so the other features are no blanket and
-        # neither is any subset of them: one test decides both
+        # neither is any subset of them: the one row of F \ x2 decides both
         _, ds = example1()
-        calls = []
-        test = mstructure.is_markov_blanket
-
-        def counting(ds, f, M, eps):
-            calls.append((f, tuple(M)))
-            return test(ds, f, M, eps)
-
-        monkeypatch.setattr(mstructure, "is_markov_blanket", counting)
         assert classify_relevance(ds, "x2").level == STRONGLY_RELEVANT
         assert find_minimal_markov_blankets(ds, "x2") == []
-        assert calls == [("x2", ("x1", "x3", "x4"))] * 2
+        assert [(target, len(cands)) for target, cands in rows] == [(("x2",), 2)] * 2
+        assert all(map(_holds_view, (c for _, cands in rows for c in cands)))
+
+    @pytest.mark.parametrize("M,message", [
+        (["x4"], "overlap on 'x4'"), (["C"], "overlap on 'C'"),
+        (["x1", "x1"], "overlap on 'x1'"), (["zz"], "unknown column 'zz'")])
+    def test_candidate_blanket_must_be_other_features(self, M, message):
+        """M may hold neither f, the class, a repeated name nor an unknown one."""
+        _, ds = example1()
+        with pytest.raises(ValueError, match=message):
+            is_markov_blanket(ds, "x4", M)
 
     def test_two_feature_duplication(self):
         feats = np.array([[0, 0], [1, 1]])
@@ -191,20 +218,17 @@ class TestMinimalSufficientSubsets:
         subsets = [s.features for s in minimal_sufficient_subsets(noise)]
         assert subsets == [()]
 
-    def test_one_row_per_subset_size(self, monkeypatch):
-        """I(S;C) over all subsets of one size is one row, up to the first
-        size with a sufficient subset (3 of example1's 4 features)."""
+    def test_one_row_per_subset_size(self, rows):
+        """I(F;C) is one row, and I(S;C) over all subsets of one size is one
+        row, up to the first size with a sufficient subset (3 of example1's
+        4 features); the empty set is measured by no row."""
         _, ds = example1()
-        rows, single = [], []
-        row, mi = mdata.mutual_information_row, mdata.mutual_information
-        monkeypatch.setattr(mdata, "mutual_information_row",
-                            lambda ds_, cands, y: rows.append(list(cands)) or row(ds_, cands, y))
-        monkeypatch.setattr(mdata, "mutual_information",
-                            lambda ds_, x, y: single.append(list(x)) or mi(ds_, x, y))
         assert len(minimal_sufficient_subsets(ds)) == 2
-        assert [len(cands) for cands in rows] == [4, 6, 4]
-        assert all(len(S) == size for size, cands in enumerate(rows, 1) for S in cands)
-        assert single == [list(ds.feature_names)]     # I(F;C), once
+        assert [target for target, _ in rows] == [("C",)] * 4
+        full, *sizes = [cands for _, cands in rows]
+        assert full == [ds.feature_names]
+        assert [len(cands) for cands in sizes] == [4, 6, 4]
+        assert all(len(S) == size for size, cands in enumerate(sizes, 1) for S in cands)
 
     def test_lagrangian_reported(self):
         _, ds = example1()
@@ -256,7 +280,7 @@ class TestAnalyze:
         with pytest.raises(ValueError, match="must be finite"):
             analyze(ex1_with_noise, **param)
 
-    def test_full_report_on_example1_with_noise(self, ex1_with_noise):
+    def test_full_report_on_example1_with_noise(self, ex1_with_noise, no_per_call_measures):
         report = analyze(ex1_with_noise)
         levels = {f: rl.level for f, rl in report.relevance.items()}
         assert levels == {
@@ -268,54 +292,48 @@ class TestAnalyze:
         assert [s.features for s in report.sufficient_subsets] == \
             [("x1", "x2", "x3"), ("x2", "x3", "x4")]
 
-    def test_full_set_mi_computed_once(self, ex1_with_noise, monkeypatch):
-        full = []
-        mi = mdata.mutual_information
-
-        def counting(ds, x, y):
-            if list(x) == list(ds.feature_names):
-                full.append(tuple(x))
-            return mi(ds, x, y)
-
-        monkeypatch.setattr(mdata, "mutual_information", counting)
+    def test_full_set_mi_computed_once(self, ex1_with_noise, rows):
+        F = ex1_with_noise.feature_names
         report = analyze(ex1_with_noise)
-        assert len(full) == 1
+        assert [S for target, cands in rows for S in cands if S == F] == [F]
         assert report.dmi_per_feature == {f: dmi(ex1_with_noise, [f])
                                           for f in ex1_with_noise.feature_names}
 
-    def test_other_features_tested_once_per_feature(self, ex1_with_noise, monkeypatch):
-        """One test of F \\ f per feature decides strong relevance and
-        whether there are blankets to walk; no walk tests F \\ f again."""
+    def test_other_features_tested_once_per_feature(self, ex1_with_noise, rows,
+                                                     monkeypatch):
+        """F \\ f is coded once per feature, and one row of it decides strong
+        relevance and whether there are blankets to walk; no walk measures
+        F \\ f again."""
         F = ex1_with_noise.feature_names
-        calls = []
-        test = mstructure.is_markov_blanket
-
-        def counting(ds, f, M, eps):
-            calls.append((f, tuple(M)))
-            return test(ds, f, M, eps)
-
-        monkeypatch.setattr(mstructure, "is_markov_blanket", counting)
+        coded = []
+        view = mdata.composite_view
+        monkeypatch.setattr(mdata, "composite_view",
+                            lambda ds, vars: coded.append(tuple(vars)) or view(ds, vars))
         analyze(ex1_with_noise)
-        full = [f for f, M in calls if set(M) == set(F) - {f}]
-        assert sorted(full) == sorted(F)
+        assert sorted(coded) == sorted(tuple(v for v in F if v != f) for f in F)
+        full = [target for target, cands in rows if any(map(_holds_view, cands))]
+        assert sorted(full) == sorted((f,) for f in F)
+        assert not [S for (f,), cands in rows if f != "C" for S in cands
+                    if isinstance(S, tuple) and set(S) >= set(F) - {f}]
 
-    def test_walk_skips_supersets_of_blankets(self, monkeypatch):
-        """On the m=9 truth table each irrelevant feature stops at its empty
-        blanket, and each duplicate skips the supersets of its twin: 274
-        per-call measures in all."""
+    def test_walk_skips_supersets_of_blankets(self, rows):
+        """On the m=9 truth table each feature takes one row of F \\ f (two
+        candidates).  The XOR pair is strongly relevant and the noise
+        features stop at their empty blanket: no more rows.  Each duplicate
+        then takes a witness row at size 0, where I(f;C) > 0, and one row
+        per size of the subsets that are no superset of its twin: the twin,
+        and the C(7, size) subsets that lack it.  276 subsets in 25 rows."""
         ds, _ = generate(SyntheticSpec(relevant=1, xor_groups=1, redundant_copies=1,
                                        noise=5, exhaustive=True))
-        calls = []
-        cmi = mdata.conditional_mutual_information
-
-        def counting(ds, x, y, z):
-            calls.append(tuple(z))
-            return cmi(ds, x, y, z)
-
-        monkeypatch.setattr(mdata, "conditional_mutual_information", counting)
         report = analyze(ds)
         assert report.markov_blankets["x5"] == ((),)
-        assert len(calls) == 274
+        assert report.markov_blankets["x1"] == (("x4",),)
+        walks = defaultdict(list)
+        for (target,), cands in rows:
+            if target != ds.target_name:
+                walks[target].append(len(cands))
+        assert walks.pop("x1") == walks.pop("x4") == [2, 1, 8, 21, 35, 35, 21, 7, 1]
+        assert walks == {f: [2] for f in ("x2", "x3", "x5", "x6", "x7", "x8", "x9")}
 
     def test_report_serializes(self, ex1_with_noise):
         doc = analyze(ex1_with_noise).to_dict()
