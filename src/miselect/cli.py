@@ -92,8 +92,7 @@ def _cmd_select(args) -> int:
         with open(args.features_out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["rank", "feature"])
-            for i, f in enumerate(trace.selected, start=1):
-                writer.writerow([i, f])
+            writer.writerows(enumerate(trace.selected, start=1))
     return EXIT_OK
 
 
@@ -112,10 +111,9 @@ def _cmd_bounds(args) -> int:
         target = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
         try:
             writer = csv.writer(target)
-            writer.writerow(["feature", "mi", "lower", "upper", "exact"])
-            for r in rows:
-                writer.writerow([r["feature"], f"{r['mi']:.12g}", f"{r['lower']:.12g}",
-                                 f"{r['upper']:.12g}", f"{r['exact']:.12g}"])
+            columns = ["feature", "mi", "lower", "upper", "exact"]
+            writer.writerow(columns)
+            writer.writerows([r["feature"]] + [f"{r[k]:.12g}" for k in columns[1:]] for r in rows)
         finally:
             if args.out:
                 target.close()
@@ -133,8 +131,7 @@ def _cmd_gen(args) -> int:
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(ds.feature_names) + [ds.target_name])
-        for i in range(ds.n):
-            writer.writerow(list(ds.features[i]) + [ds.class_codes[i]])
+        writer.writerows(list(row) + [c] for row, c in zip(ds.features, ds.class_codes))
     truth_path = args.truth_out or args.out + ".truth.json"
     truth = {"roles": roles, "meta": dict(ds.meta), "n": ds.n, "m": ds.m}
     with open(truth_path, "w", encoding="utf-8") as fh:

@@ -129,17 +129,20 @@ def _walk(ds: _d.Dataset, f: str, eps: float) -> tuple[RelevanceLevel, list[tupl
     known, a second row of I(M + C; f) tests those that are no blanket."""
     C = ds.target_name
     rest = [v for v in ds.feature_names if v != f]
-    view = _d.View(*_d.composite_view(ds, rest))
-    full, other = _mi_row(ds, [(view, C), (view,)], f)
+    view = (_d.View(*_d.composite_view(ds, rest)),) if rest else ()
+    full, other = _mi_row(ds, [view + (C,), view], f)
     if _deficit(full, other) > eps:
         return RelevanceLevel(STRONGLY_RELEVANT), []
     witness, found = None, []
     for size in range(len(rest)):
         subsets = [M for M in combinations(rest, size)
                    if not any(map(set(M).issuperset, found))]
-        parts = _mi_row(ds, subsets, f)
-        open_ = [(M, part) for M, part in zip(subsets, parts) if _deficit(full, part) > eps]
-        found += [M for M, part in zip(subsets, parts) if _deficit(full, part) <= eps]
+        open_ = []
+        for M, part in zip(subsets, _mi_row(ds, subsets, f)):
+            if _deficit(full, part) <= eps:
+                found.append(M)
+            else:
+                open_.append((M, part))
         if witness is None:
             joint = _mi_row(ds, [M + (C,) for M, _ in open_], f)
             witness = next((M for (M, part), both in zip(open_, joint)

@@ -719,7 +719,7 @@ def _reference_sufficiency(ds, eps):
 
 @st.composite
 def structure_datasets(draw):
-    n, m = draw(st.integers(1, 60)), draw(st.integers(2, 6))
+    n, m = draw(st.integers(1, 60)), draw(st.integers(1, 6))
     cards = [draw(st.integers(1, 3)) for _ in range(m + 1)]
     cols = [draw(st.lists(st.integers(0, card - 1), min_size=n, max_size=n))
             for card in cards]

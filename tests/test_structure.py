@@ -335,6 +335,22 @@ class TestAnalyze:
         assert walks.pop("x1") == walks.pop("x4") == [2, 1, 8, 21, 35, 35, 21, 7, 1]
         assert walks == {f: [2] for f in ("x2", "x3", "x5", "x6", "x7", "x8", "x9")}
 
+    @pytest.mark.parametrize("column,level,blankets", [
+        ([0, 1, 0, 1], STRONGLY_RELEVANT, ()),
+        ([0, 0, 1, 1], IRRELEVANT, ((),)),
+    ])
+    def test_one_feature(self, column, level, blankets, no_per_call_measures):
+        """With one feature F \\ f is empty: I(f;C) alone decides it, and
+        an irrelevant f has the empty blanket."""
+        ds = Dataset(np.array(column).reshape(4, 1), np.array([0, 1, 0, 1]),
+                     (2,), 2, ("a",), "C")
+        report = analyze(ds)
+        assert report.relevance == {"a": classify_relevance(ds, "a")}
+        assert report.relevance["a"].level == level
+        assert report.markov_blankets == {"a": blankets}
+        assert find_minimal_markov_blankets(ds, "a") == list(blankets)
+        assert is_markov_blanket(ds, "a", []) == (level == IRRELEVANT)
+
     def test_report_serializes(self, ex1_with_noise):
         doc = analyze(ex1_with_noise).to_dict()
         assert doc["relevance"]["x5"]["level"] == IRRELEVANT
