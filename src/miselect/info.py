@@ -1,19 +1,24 @@
-"""Exact discrete information measures (all in bits, log base 2).
+"""Discrete information measures (all in bits, log base 2).
 
-These measures and their plug-in twins in `miselect.data` are each a row of
-one counting kernel (`_row_tables`) over a table of rows, weighted or not,
-finished by `_Rows.values` over the nonzero cells only: a per-call measure is
-the row of one candidate, its X group.
+Each measure takes an exact `JointDistribution` or a plug-in `data.Dataset`,
+reading only its table of rows, and on a Dataset equals the `miselect.data`
+measure of the same name bit for bit.  Both are a row of one counting kernel
+(`_row_tables`), weighted or not, finished by `_Rows.values` over the nonzero
+cells only: a per-call measure is the row of one candidate, its X group.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .distribution import JointDistribution, _as_vars
+
+if TYPE_CHECKING:
+    from .data import Dataset
 
 # Values this close to zero are treated as exactly zero, so the many
 # "= 0" identities hold under floating point.
@@ -244,44 +249,17 @@ def _count_planes(planes, pops, cards, g, radix):
     return cells, counts[cells]
 
 
-# numpy sums a contiguous float64 array of up to this many terms with eight
-# interleaved accumulators, and splits a longer one in two recursively.
-PAIRWISE_BLOCK = 128
-
-
 def _segment_sums(terms: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """`np.sum(terms[a:b])` for each pair of consecutive `bounds`, bit for bit.
-
-    A segment of L < 8 terms is summed in order from 0.0.  One of 8 to
-    PAIRWISE_BLOCK terms is summed as numpy does: accumulator j starts at
-    term j and adds every eighth term after it up to L - L % 8, the eight
-    are combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and
-    the last L % 8 terms are added in order.  Here that runs over all
-    segments at once, padded with zeros; adding 0.0 changes no sum except
-    the sign of a zero, and 0.0 + x, the start of numpy's sum, clears that
-    too.  Longer segments, where numpy recurses, take `np.sum` each.
-    """
-    start = bounds[:-1]
-    length = np.diff(bounds)
-    full = length - length % 8
-    short = length <= PAIRWISE_BLOCK
-    width = int(full[short].max(initial=8))
-    padded = np.concatenate([terms, np.zeros(width + 8)])
-    at = np.arange(width)
-    blocks = np.where(at < full[:, None], padded[start[:, None] + at], 0.0)
-    r = blocks[:, :8].copy()
-    for j in range(8, width, 8):
-        r += blocks[:, j:j + 8]
-    total = (((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3]))
-             + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7])))
-    at = np.arange(7)
-    rest = np.where(at < (length - full)[:, None], padded[(start + full)[:, None] + at], 0.0)
-    for j in range(7):
-        total += rest[:, j]
-    total = 0.0 + total
-    for i in np.flatnonzero(~short):
-        total[i] = np.sum(terms[start[i]:bounds[i + 1]])
-    return total
+    """`np.sum(terms[a:b])` for each pair of consecutive `bounds`, bit for bit:
+    `np.add.reduceat` adds a segment's first term to numpy's pairwise sum of
+    the rest, and `np.sum` adds 0.0 to the pairwise sum of it all, so the two
+    agree once a 0.0 leads each segment."""
+    lead = bounds[:-1] + np.arange(len(bounds) - 1)
+    led = np.zeros(len(terms) + len(lead))
+    rest = np.ones(len(led), dtype=bool)
+    rest[lead] = False
+    led[rest] = terms
+    return np.add.reduceat(led, lead)
 
 
 # The terms of H(X), H(X|G), I(X;Y) and I(X;Y|Z) over the cells of the joint of
@@ -335,15 +313,7 @@ class _Rows:
             return np.bincount(at, weights=p)[at]
 
         t = (terms or (_cmi_terms if len(self.comps) == 3 else _mi_terms))(p, margin)
-        if self.k == 1:
-            total = np.sum(t, keepdims=True)
-        else:
-            bounds = np.searchsorted(self.which, np.arange(self.k + 1))
-            size = len(t) // self.k
-            # rows of one length: numpy sums each row of the matrix as np.sum
-            # sums it alone
-            total = (t.reshape(self.k, size).sum(axis=1) if (np.diff(bounds) == size).all()
-                     else _segment_sums(t, bounds))
+        total = _segment_sums(t, np.searchsorted(self.which, np.arange(self.k + 1)))
         return np.where(total < ZERO_TOL, 0.0, total)
 
     def marginal(self) -> _Rows:
@@ -438,24 +408,24 @@ def _measure(table, x, *groups, terms=None) -> float:
     return float(next(_row_tables(table, [_as_vars(x)], groups)).values(terms)[0])
 
 
-def entropy(dist: JointDistribution, vars) -> float:
+def entropy(dist: JointDistribution | Dataset, vars) -> float:
     """H(vars): -sum p log2 p over the marginal; 0*log 0 := 0."""
     return _measure(dist._table, vars, terms=_h_terms)
 
 
-def conditional_entropy(dist: JointDistribution, target, given) -> float:
+def conditional_entropy(dist: JointDistribution | Dataset, target, given) -> float:
     """H(target | given) = sum p(t,g) log2( p(g) / p(t,g) )."""
     g = _as_vars(given)
     return (_measure(dist._table, target, g, terms=_ch_terms) if g
             else _measure(dist._table, target, terms=_h_terms))
 
 
-def mutual_information(dist: JointDistribution, x, y) -> float:
+def mutual_information(dist: JointDistribution | Dataset, x, y) -> float:
     """I(X;Y) = sum p(x,y) log2( p(x,y) / (p(x) p(y)) ); symmetric, >= 0."""
     return _measure(dist._table, x, y)
 
 
-def conditional_mutual_information(dist: JointDistribution, x, y, z) -> float:
+def conditional_mutual_information(dist: JointDistribution | Dataset, x, y, z) -> float:
     """I(X;Y|Z) = sum p(x,y,z) log2( p(x,y,z) p(z) / (p(x,z) p(y,z)) ).
 
     Empty Z reduces to I(X;Y).
@@ -471,7 +441,7 @@ def _conditional_interaction(dist, groups, cond) -> float:
             - _conditional_interaction(dist, head, cond))
 
 
-def interaction_information(dist: JointDistribution, groups) -> float:
+def interaction_information(dist: JointDistribution | Dataset, groups) -> float:
     """Signed k-way interaction (multi-information among groups).
 
     For two groups this is plain MI.  For k > 2 it follows the recursion
@@ -490,7 +460,7 @@ def interaction_information(dist: JointDistribution, groups) -> float:
     return clip_zero(_conditional_interaction(dist, gs, ()))
 
 
-def total_correlation(dist: JointDistribution, vars) -> float:
+def total_correlation(dist: JointDistribution | Dataset, vars) -> float:
     """C(f1;...;fm) = sum_i H(f_i) - H(f1,...,fm); >= 0."""
     vs, = _check_disjoint(vars)
     if len(vs) < 2:
@@ -502,7 +472,7 @@ def total_correlation(dist: JointDistribution, vars) -> float:
 MAX_DECOMPOSITION_VARS = 12
 
 
-def joint_mi_by_decomposition(dist: JointDistribution, vars, target) -> float:
+def joint_mi_by_decomposition(dist: JointDistribution | Dataset, vars, target) -> float:
     """I({x1..xm};C) as the sum of interaction terms over all subsets.
 
     Sums I(s1;...;sk;C) over every nonempty subset {s1..sk} of `vars`.

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import miselect
+from miselect import data as mdata
 from miselect import (
     JointDistribution,
     conditional_entropy,
@@ -296,6 +297,29 @@ def test_relabeling_invariance():
             conditional_mutual_information(d, "v0", "v1", "v2"), abs=1e-12)
         assert interaction_information(d2, [["v0"], ["v1"], ["v2"]]) == pytest.approx(
             interaction_information(d, [["v0"], ["v1"], ["v2"]]), abs=1e-12)
+
+
+def test_measures_take_a_dataset(ex1):
+    """On a Dataset, info's H, I and CMI equal the plug-in measures of
+    `miselect.data` by ==, and the composite measures, which call them,
+    equal their values on example1's distribution, of which the Dataset is
+    the truth table."""
+    dist, ds = ex1
+    names = [*ds.feature_names, ds.target_name]
+    for x, y, z in itertools.permutations(names, 3):
+        assert entropy(ds, [x, y]) == mdata.entropy(ds, [x, y])
+        assert mutual_information(ds, x, [y, z]) == mdata.mutual_information(ds, x, [y, z])
+        assert conditional_mutual_information(ds, x, y, z) == \
+            mdata.conditional_mutual_information(ds, x, y, z)
+        assert conditional_entropy(ds, x, [y, z]) == pytest.approx(
+            conditional_entropy(dist, x, [y, z]), **APPROX)
+        assert interaction_information(ds, [[x], [y], [z]]) == pytest.approx(
+            interaction_information(dist, [[x], [y], [z]]), **APPROX)
+        assert total_correlation(ds, [x, y, z]) == pytest.approx(
+            total_correlation(dist, [x, y, z]), **APPROX)
+    feats = list(ds.feature_names)
+    assert joint_mi_by_decomposition(ds, feats, ds.target_name) == pytest.approx(
+        joint_mi_by_decomposition(dist, feats, ds.target_name), **APPROX)
 
 
 # The counting kernel's steps, which only `info._row_tables` may call: every

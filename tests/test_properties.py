@@ -311,17 +311,18 @@ def test_narrow_bincounts_equal_int64_codes(n, scales, radix_scale, seed):
 
 
 @SETTINGS
-@given(st.integers(2, 5), st.integers(0, 2**32 - 1))
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
 def test_equal_segments_sum_as_segment_sums(k, seed):
     """Segments of one length L, summed as the rows of a (k, L) matrix, equal
-    `_segment_sums` of them, for every L from 1 to 130 (past numpy's
-    128-term block, where its pairwise sum recurses)."""
+    `_segment_sums` of them bit for bit, for every L from 1 to 130 (past
+    numpy's 128-term block, where its pairwise sum recurses) and for L of a
+    few thousand, where it recurses 4 to 7 times; k = 1 is a lone segment."""
     rng = np.random.default_rng(seed)
-    for length in range(1, 131):
+    for length in [*range(1, 131), 1500, 2500, 5000, 9000, 16000]:
         terms = rng.normal(size=k * length) * 10.0 ** rng.integers(-12, 2, size=k * length)
         bounds = np.arange(k + 1) * length
-        assert np.array_equal(terms.reshape(k, length).sum(axis=1),
-                              info._segment_sums(terms, bounds))
+        assert terms.reshape(k, length).sum(axis=1).view(np.int64).tolist() == \
+            info._segment_sums(terms, bounds).view(np.int64).tolist()
 
 
 @SETTINGS
@@ -396,13 +397,18 @@ def test_summed_out_counts_keep_candidates_apart():
 
 @SETTINGS
 @given(st.integers(0, 2**32 - 1),
-       st.lists(st.one_of(st.integers(0, 300), st.sampled_from([0, 7, 8, 127, 128, 129])),
+       st.lists(st.one_of(st.integers(0, 300), st.sampled_from([0, 7, 8, 127, 128, 129]),
+                          st.integers(1000, 16000)),
                 min_size=1, max_size=12))
+@example(seed=0, lengths=[1])
+@example(seed=1, lengths=[5000])
 def test_segment_sums_equal_numpy_sums(seed, lengths):
     """The segmented sum of a row's terms is np.sum of each segment, and
     after the clip max(clip_zero(np.sum)), 0) of it, bit for bit, on both
-    sides of numpy's 8-term and 128-term boundaries; terms of mixed sign
-    and scale, with exact and negative zeros."""
+    sides of numpy's 8-term and 128-term boundaries, for segments of a few
+    thousand terms, where its pairwise sum recurses 3 to 7 times, and for a
+    lone segment; terms of mixed sign and scale, with exact and negative
+    zeros."""
     rng = np.random.default_rng(seed)
     terms = rng.normal(size=sum(lengths)) * 10.0 ** rng.integers(-12, 3, size=sum(lengths))
     terms[rng.random(len(terms)) < 0.1] = 0.0
@@ -410,7 +416,8 @@ def test_segment_sums_equal_numpy_sums(seed, lengths):
     bounds = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
     got = info._segment_sums(terms, bounds)
     segments = [terms[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    assert got.tolist() == [float(np.sum(t)) for t in segments]
+    assert got.view(np.int64).tolist() == \
+        np.array([np.sum(t) for t in segments]).view(np.int64).tolist()
     clipped = np.where(got < info.ZERO_TOL, 0.0, got)
     assert clipped.view(np.int64).tolist() == \
         np.array([max(info.clip_zero(np.sum(t)), 0.0) for t in segments]).view(np.int64).tolist()
