@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import data as _d
 from .distribution import JointDistribution, _as_vars
-from .info import _sum_in_order, entropy, mutual_information
+from .info import _sum_in_order, clip_zero, entropy, mutual_information
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,8 @@ def bayes_error_bounds(dist: JointDistribution, f, class_var: str) -> ErrorBound
         raise ValueError("class must have at least two states (log|C| = 0 otherwise)")
     mi = mutual_information(dist, fs, class_var)
     hc = entropy(dist, class_var)
-    lower = max(0.0, 1.0 - (mi + 1.0) / math.log2(class_card))
-    upper = min(1.0, max(0.0, 0.5 * (hc - mi)))
+    lower = max(0.0, clip_zero(1.0 - (mi + 1.0) / math.log2(class_card)))
+    upper = min(1.0, max(0.0, clip_zero(0.5 * (hc - mi))))
     best: dict[tuple, float] = {}   # max_c p(x, c) for each x
     for state, p in dist.marginal_mass(fs + (class_var,)).items():
         x = state[:-1]

@@ -13,6 +13,8 @@ import csv
 import json
 import sys
 
+import numpy as np
+
 from . import bounds as _bounds
 from . import data as _d
 from . import datagen as _gen
@@ -131,7 +133,7 @@ def _cmd_gen(args) -> int:
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(ds.feature_names) + [ds.target_name])
-        writer.writerows(list(row) + [c] for row, c in zip(ds.features, ds.class_codes))
+        writer.writerows(np.column_stack([ds.features, ds.class_codes]).tolist())
     truth_path = args.truth_out or args.out + ".truth.json"
     truth = {"roles": roles, "meta": dict(ds.meta), "n": ds.n, "m": ds.m}
     with open(truth_path, "w", encoding="utf-8") as fh:

@@ -75,7 +75,7 @@ def example1() -> tuple[JointDistribution, Dataset]:
     return dist, ds
 
 
-# Base-column values drawn at a time, a block of whole rows; int64 draws in
+# Base-column values written at a time, a block of whole rows; int64 draws in
 # blocks continue one stream, so the codes do not depend on the block size.
 DRAW_VALUES = 1 << 16
 
@@ -86,8 +86,8 @@ def generate(spec: SyntheticSpec) -> tuple[Dataset, dict[str, str]]:
     Column order: relevant features, XOR pair members, redundant copies,
     noise.  C = OR(relevant) OR OR(xor of each pair), then flipped with
     probability flip_prob.  Deterministic for a fixed seed.  The base
-    columns are drawn as int64 a block of rows at a time, straight into the
-    int8 feature matrix.
+    columns go a block of rows at a time straight into the int8 feature
+    matrix: int64 draws, or in a truth table the bits of the row index.
     """
     r, x = spec.relevant, spec.xor_groups
     signal, copies = r + 2 * x, spec.redundant_copies
@@ -95,23 +95,19 @@ def generate(spec: SyntheticSpec) -> tuple[Dataset, dict[str, str]]:
     rng = np.random.default_rng(spec.seed)
     n = 2 ** n_base if spec.exhaustive else spec.n
     feats = np.empty((n, n_base + copies), dtype=np.int8, order="F")
-    if spec.exhaustive:
-        blocks = [(0, np.array(list(itertools.product((0, 1), repeat=n_base)), dtype=np.int64))]
-    else:
-        step = max(1, DRAW_VALUES // n_base)
-        blocks = ((i, rng.integers(0, 2, size=(min(step, n - i), n_base), dtype=np.int64))
-                  for i in range(0, n, step))
-    for i, base in blocks:
-        feats[i:i + len(base), :signal] = base[:, :signal]
-        feats[i:i + len(base), signal + copies:] = base[:, signal:]
-    for j in range(copies):
-        feats[:, signal + j] = feats[:, j % r]
+    step = max(1, DRAW_VALUES // n_base)
+    for i in range(0, n, step):
+        rows = min(step, n - i)
+        if spec.exhaustive:    # truth-table row i is the bits of i
+            base = (np.arange(i, i + rows)[:, None] >> np.arange(n_base - 1, -1, -1)) & 1
+        else:
+            base = rng.integers(0, 2, size=(rows, n_base), dtype=np.int64)
+        feats[i:i + rows, :signal] = base[:, :signal]
+        feats[i:i + rows, signal + copies:] = base[:, signal:]
+    feats[:, signal:signal + copies] = feats[:, np.arange(copies) % r]
 
-    c = np.zeros(n, dtype=np.int8)
-    for j in range(r):
-        c |= feats[:, j]
-    for g in range(x):
-        c |= feats[:, r + 2 * g] ^ feats[:, r + 2 * g + 1]
+    xor = feats[:, r:signal:2] ^ feats[:, r + 1:signal:2]
+    c = np.bitwise_or.reduce(feats[:, :r], axis=1) | np.bitwise_or.reduce(xor, axis=1)
     if spec.flip_prob > 0:
         flips = rng.random(n) < spec.flip_prob
         c = np.where(flips, 1 - c, c)

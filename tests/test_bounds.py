@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from miselect import (
+    Dataset,
     JointDistribution,
     bayes_error_bounds,
     empirical_distribution,
@@ -39,6 +40,20 @@ def test_example1_x1():
     assert b.upper == pytest.approx(0.25, abs=1e-9)
     assert b.exact == pytest.approx(0.25, abs=1e-9)
     assert b.lower <= b.exact <= b.upper + 1e-9
+
+
+def test_class_determined_by_the_feature_has_zero_bounds():
+    """H(C|f) = 0, so upper = H(C|f)/2 is clipped to 0.0 like every other
+    zero identity, not left at the rounding error of H(C) - I(f;C)."""
+    ds = Dataset([[0], [5], [9]], [0, 1, 0], (10,), 2, ("a",), "y")
+    row, = feature_bounds_table(ds)
+    assert (row["lower"], row["upper"], row["exact"]) == (0.0, 0.0, 0.0)
+
+
+def test_empty_feature_set_rejected():
+    dist, _ = example1()
+    with pytest.raises(ValueError, match="feature set must be nonempty"):
+        bayes_error_bounds(dist, [], "C")
 
 
 def test_degenerate_class_rejected():

@@ -1,8 +1,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from miselect import SyntheticSpec, generate
 from miselect.cli import main
 
 EX1_CSV = """x1,x2,x3,x4,C
@@ -210,6 +212,20 @@ class TestGen:
         assert rows[0] == ["x1", "x2", "x3", "x4", "C"]
         assert len(rows) == 9
 
+    def test_exhaustive_csv_holds_the_generated_dataset(self, tmp_path):
+        data = tmp_path / "truth.csv"
+        rc = run(["gen", "--out", str(data), "--relevant", "2", "--xor-groups", "1",
+                  "--redundant-copies", "1", "--noise", "2", "--flip-prob", "0.05",
+                  "--seed", "3", "--exhaustive"])
+        assert rc == 0
+        ds, _ = generate(SyntheticSpec(relevant=2, xor_groups=1, redundant_copies=1,
+                                       noise=2, flip_prob=0.05, seed=3, exhaustive=True))
+        with open(data, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == list(ds.feature_names) + ["C"]
+        want = np.column_stack([ds.features, ds.class_codes])
+        assert rows[1:] == [[str(v) for v in row] for row in want.tolist()]
+
     def test_degenerate_spec_exit_4(self, tmp_path):
         rc = run(["gen", "--out", str(tmp_path / "x.csv"), "--relevant", "0",
                   "--n", "10"])
@@ -268,6 +284,14 @@ class TestInfo:
 
 
 class TestBadTokens:
+    def test_empty_csv_exit_4(self, tmp_path, capsys):
+        data = tmp_path / "empty.csv"
+        data.write_text("")
+        rc = run(["info", str(data), "--target", "C", "--out", str(tmp_path / "out.json")])
+        assert rc == 4
+        assert "empty CSV file" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
     @pytest.mark.parametrize("quantizer", ["equal-width", "equal-frequency"])
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NA"])
     def test_numeric_column_with_token_exit_4(self, tmp_path, capsys, token, quantizer):

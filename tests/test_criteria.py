@@ -127,6 +127,13 @@ class TestScoreAll:
         assert board.scores["x3"] == 0.0
         assert board.scores["x4"] == pytest.approx(I_X1_C, **APPROX)
 
+    @pytest.mark.parametrize("kind", ["md", "mmd"])
+    @pytest.mark.parametrize("S", [(), ("x1",)])
+    def test_joint_criteria_with_no_candidates(self, kind, S):
+        _, ds = example1()
+        board = score_all(CriterionSpec(kind), [], S, ds)
+        assert board.scores == {} and board.warnings == ()
+
     def test_md_with_empty_set_matches_mim(self):
         _, ds = example1()
         mim = score_all(CriterionSpec("mim"), list(ds.feature_names), [], ds)

@@ -412,6 +412,21 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.features[0, 0] = 1
 
+    @pytest.mark.parametrize("feats, cls, cards, names, message", [
+        ([0, 1], [0, 1], (2,), ("a",), "features must be 2-D and class_codes 1-D"),
+        ([[0, 1]], [[0]], (2, 2), ("a", "b"), "features must be 2-D and class_codes 1-D"),
+        (np.zeros((0, 1), dtype=int), [], (2,), ("a",), "need at least one sample and one feature"),
+        (np.zeros((2, 0), dtype=int), [0, 1], (), (), "need at least one sample and one feature"),
+        ([[0], [1]], [0], (2,), ("a",), "class column length mismatch"),
+        ([[0], [1]], [0, 1], (2,), ("a", "b"), "feature names/cardinalities mismatch"),
+        ([[0], [1]], [0, 1], (2, 2), ("a",), "feature names/cardinalities mismatch"),
+        ([[0, 1]], [0], (2, 2), ("a", "a"), "column names must be distinct"),
+        ([[0]], [0], (2,), ("C",), "column names must be distinct"),
+    ])
+    def test_malformed_dataset_rejected(self, feats, cls, cards, names, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(np.array(feats), np.array(cls), cards, 2, names, "C")
+
     def test_codes_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             Dataset(np.array([[3]]), np.array([0]), (2,), 2, ("a",), "C")

@@ -1,8 +1,12 @@
+import itertools
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from miselect import SyntheticSpec, classify_relevance, datagen, example1, generate
 from miselect import data as mdata
@@ -50,6 +54,10 @@ class TestSyntheticSpec:
     def test_sampling_needs_n(self):
         with pytest.raises(ValueError):
             SyntheticSpec(relevant=1)
+
+    def test_negative_counts_rejected(self):
+        with pytest.raises(ValueError, match="counts must be non-negative"):
+            SyntheticSpec(n=10, relevant=1, noise=-1)
 
     def test_exhaustive_base_columns_bounded(self):
         # 1 + 2*2 + 16 = 21 base columns: rejected before any row is built
@@ -144,3 +152,59 @@ class TestGenerate:
         ds, _ = generate(SyntheticSpec(n=50, relevant=1, seed=5))
         assert ds.meta["generator"] == "numpy-pcg64"
         assert ds.meta["seed"] == 5
+
+
+def reference_truth_table(spec):
+    """The features and labels of an exhaustive spec, one tuple per row from
+    itertools.product, with the label flips drawn from the seed's stream."""
+    r, x, copies = spec.relevant, spec.xor_groups, spec.redundant_copies
+    signal = r + 2 * x
+    base = np.array(list(itertools.product((0, 1), repeat=signal + spec.noise)))
+    feats = np.column_stack([base[:, :signal], base[:, [j % r for j in range(copies)]],
+                             base[:, signal:]])
+    c = np.zeros(len(base), dtype=np.int64)
+    for j in range(r):
+        c |= base[:, j]
+    for g in range(x):
+        c |= base[:, r + 2 * g] ^ base[:, r + 2 * g + 1]
+    if spec.flip_prob > 0:
+        flips = np.random.default_rng(spec.seed).random(len(base)) < spec.flip_prob
+        c = np.where(flips, 1 - c, c)
+    return feats, c
+
+
+@st.composite
+def exhaustive_specs(draw):
+    relevant = draw(st.integers(0, 12))
+    xor_groups = draw(st.integers(0 if relevant else 1, (12 - relevant) // 2))
+    noise = draw(st.integers(0, 12 - relevant - 2 * xor_groups))
+    return SyntheticSpec(relevant=relevant, xor_groups=xor_groups, noise=noise,
+                         redundant_copies=draw(st.integers(0, 3 if relevant else 0)),
+                         flip_prob=draw(st.sampled_from([0.0, 0.05])),
+                         seed=draw(st.integers(0, 2**32 - 1)), exhaustive=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exhaustive_specs(), st.sampled_from([1, 12, 1000, datagen.DRAW_VALUES]))
+def test_truth_table_equals_itertools_product(spec, draw_values):
+    """Row i of a truth table is the bits of i in every block size, the
+    copies and the class follow, and the label flips are the seed's."""
+    with mock.patch.object(datagen, "DRAW_VALUES", draw_values):
+        ds, _ = generate(spec)
+    feats, c = reference_truth_table(spec)
+    assert np.array_equal(ds.features, feats)
+    assert np.array_equal(ds.class_codes, c)
+
+
+def test_truth_table_memory_peak():
+    """A truth table is written into the int8 matrix a block of rows at a
+    time: at 16 base columns the traced peak is a few bytes per code."""
+    spec = SyntheticSpec(relevant=2, xor_groups=2, redundant_copies=2, noise=10,
+                         exhaustive=True)
+    tracemalloc.start()
+    try:
+        ds, _ = generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.n == 2**16 and ds.m == 18 and peak <= 4 * ds.n * ds.m, peak

@@ -89,6 +89,17 @@ def test_duplicate_names_rejected():
         JointDistribution(("x", "x"), (2, 2), {(0, 0): 1.0})
 
 
+@pytest.mark.parametrize("variables, cards, mass, origin, message", [
+    (("x", "y"), (2,), {(0, 0): 1.0}, "exact", "variables and cardinalities must have equal length"),
+    ((), (), {(): 1.0}, "exact", "a distribution needs at least one variable"),
+    (("x",), (0,), {(0,): 1.0}, "exact", "cardinalities must be >= 1"),
+    (("x",), (2,), {(0,): 1.0}, "estimated", "unknown origin 'estimated'"),
+])
+def test_malformed_distribution_rejected(variables, cards, mass, origin, message):
+    with pytest.raises(ValueError, match=message):
+        JointDistribution(variables, cards, mass, origin=origin)
+
+
 def test_empirical_needs_sample_count():
     with pytest.raises(ValueError, match="sample_count"):
         JointDistribution(("x",), (2,), {(0,): 1.0}, origin="empirical")

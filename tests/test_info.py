@@ -178,6 +178,10 @@ class TestInteractionInformation:
         with pytest.raises(ValueError, match="overlap"):
             interaction_information(ex1[0], [["x1"], ["x1", "x2"]])
 
+    def test_empty_group_rejected(self, ex1):
+        with pytest.raises(ValueError, match="groups must be nonempty"):
+            interaction_information(ex1[0], [["x1"], []])
+
     def test_two_groups_is_plain_mi(self, ex1):
         dist, _ = ex1
         assert interaction_information(dist, [["x2", "x3"], ["C"]]) == pytest.approx(
@@ -271,6 +275,10 @@ class TestJointMiDecomposition:
             tuple(f"v{i}" for i in range(14)), (1,) * 14, {(0,) * 14: 1.0})
         with pytest.raises(ValueError, match="limited"):
             joint_mi_by_decomposition(dist, [f"v{i}" for i in range(13)], "v13")
+
+    def test_no_variables_rejected(self, ex1):
+        with pytest.raises(ValueError, match="vars must be nonempty"):
+            joint_mi_by_decomposition(ex1[0], [], "C")
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_matches_direct_joint_mi(self, m):

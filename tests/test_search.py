@@ -56,6 +56,15 @@ class TestForwardSelect:
         # x4 is pure redundancy), which is below the threshold
         assert trace.selected == ("x1",)
 
+    def test_default_threshold_without_k(self):
+        # with neither k nor threshold the search stops below 1e-6 bits:
+        # alone, each XOR member and the noise column carry no MI about C
+        ds, _ = generate(SyntheticSpec(relevant=1, xor_groups=1, noise=1, exhaustive=True))
+        trace = forward_select(CriterionSpec("mim"), ds)
+        assert trace.meta["threshold"] == search.DEFAULT_THRESHOLD == 1e-6
+        assert trace.stop_reason == "threshold"
+        assert trace.selected == ("x1",)
+
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
     def test_threshold_must_be_finite(self, threshold):
         _, ds = example1()
@@ -151,6 +160,28 @@ class TestPlusLTakeAwayR:
         _, ds = example1()
         with pytest.raises(ValueError, match="unreachable"):
             plus_l_take_away_r(CriterionSpec("mim"), ds, l=3, r=1, k=3)
+
+    def test_k_unreachable_from_the_full_set_rejected(self):
+        _, ds = example1()   # 4 columns: removing 2 net per round never leaves 1
+        with pytest.raises(ValueError, match="k=1 unreachable with net step 2 from the full set"):
+            plus_l_take_away_r(CriterionSpec("md"), ds, l=0, r=2, k=1)
+
+    @pytest.mark.parametrize("l, r", [(-1, 1), (2, -1)])
+    def test_negative_l_or_r_rejected(self, l, r):
+        _, ds = example1()
+        with pytest.raises(ValueError, match="l and r must be non-negative"):
+            plus_l_take_away_r(CriterionSpec("md"), ds, l=l, r=r, k=1)
+
+    def test_remove_from_an_empty_set_is_skipped(self):
+        # r = 4 removes on 3 columns: the fourth finds S empty and makes no
+        # step, then the two adds run; the next round ends on the same S
+        ds, _ = generate(SyntheticSpec(relevant=1, xor_groups=1, exhaustive=True))
+        trace = plus_l_take_away_r(CriterionSpec("md"), ds, l=2, r=4, k=1)
+        directions = [s.direction for s in trace.steps]
+        assert directions[:5] == ["remove"] * 3 + ["add"] * 2
+        assert trace.stop_reason == "exhausted"
+        assert len(trace.selected) == 2
+        assert trace.replay() == trace.selected
 
     def test_degenerate_forward(self):
         _, ds = example1()
