@@ -135,9 +135,7 @@ def _cmd_gen(args) -> int:
         writer.writerow(list(ds.feature_names) + [ds.target_name])
         writer.writerows(np.column_stack([ds.features, ds.class_codes]).tolist())
     truth_path = args.truth_out or args.out + ".truth.json"
-    truth = {"roles": roles, "meta": dict(ds.meta), "n": ds.n, "m": ds.m}
-    with open(truth_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(_format_floats(truth), sort_keys=True, indent=2) + "\n")
+    _emit({"roles": roles, "meta": dict(ds.meta), "n": ds.n, "m": ds.m}, truth_path)
     return EXIT_OK
 
 

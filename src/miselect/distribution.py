@@ -18,6 +18,16 @@ def _as_vars(vars) -> tuple[str, ...]:
     return tuple(vars)
 
 
+def _as_lists(obj):
+    """`obj` with every tuple in it, within dicts and lists too, made a list:
+    the JSON shape of a report's `dataclasses.asdict`."""
+    if isinstance(obj, dict):
+        return {k: _as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_as_lists(v) for v in obj]
+    return obj
+
+
 def _check_codes(columns, cards, names) -> None:
     """Raise unless each of `columns`, 1-D arrays of n >= 1 codes of the named
     columns, holds integer or bool codes in [0, card) for an integer card.  A

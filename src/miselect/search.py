@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import data as _d
 from .criteria import CriterionSpec, PairCache, _warn, score_all
+from .distribution import _as_lists
 
 TIE_TOL = 1e-9
 DEFAULT_THRESHOLD = 1e-6  # bits
@@ -44,21 +45,8 @@ class SelectionTrace:
         return tuple(s)
 
     def to_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "steps": [
-                {
-                    "direction": st.direction,
-                    "chosen": st.chosen,
-                    "scores": dict(sorted(st.scores.items())),
-                    "ties": list(st.ties),
-                }
-                for st in self.steps
-            ],
-            "selected": list(self.selected),
-            "stop_reason": self.stop_reason,
-            "meta": dict(self.meta),
-        }
+        """The trace as JSON-ready data; `start` is left out."""
+        return {k: v for k, v in _as_lists(asdict(self)).items() if k != "start"}
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, **kwargs)

@@ -2,7 +2,9 @@
 
 Relevance levels, Markov blankets and sufficient subsets, each decided by a
 mutual-information deficit read from rows of I(T; target) (`_mi_row`).  S
-suffices when I(F;C) - I(S;C) <= eps.  With V = F u {C} and R = F \\ f \\ M,
+suffices when I(F;C) - I(S;C) = I(F \\ S; C | S) <= eps, that is when S is a
+Markov blanket of C within F (Koller & Sahami 1996): the minimal sufficient
+subsets are the least-size blankets of C.  With V = F u {C} and R = F \\ f \\ M,
 the chain rule gives the blanket test I(f; C u R | M) = I(f; V \\ f) -
 I(f; M), the witness test I(f;C|M) = I(f; M u C) - I(f; M), and also
 I(f; C u R | M) = I(f; R | M) + I(f; C | F \\ f): so F \\ f is a blanket of
@@ -10,16 +12,18 @@ f exactly when f is not strongly relevant, and a strongly relevant feature
 has no blanket.  A blanket M gives I(f; C | S) <= I(f; C u R | M) <= eps for
 every S from M up to F \\ f, so no such S is a witness or a further minimal
 blanket: one walk over the subsets of F \\ f, skipping them, finds both.
+That walk (`_blankets`) also finds the blankets of C, over the subsets of F.
 The walks are exhaustive, so all of these are limited to small feature sets.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 from . import data as _d
+from .distribution import _as_lists
 from .info import _check_disjoint, clip_zero
 
 MAX_EXHAUSTIVE_FEATURES = 20
@@ -55,26 +59,7 @@ class StructureReport:
     lagrange_multiplier: float
 
     def to_dict(self) -> dict:
-        return {
-            "relevance": {
-                f: {"level": rl.level,
-                    "witness": list(rl.witness) if rl.witness is not None else None}
-                for f, rl in sorted(self.relevance.items())
-            },
-            "markov_blankets": {
-                f: [list(m) for m in blankets]
-                for f, blankets in sorted(self.markov_blankets.items())
-            },
-            "sufficient_subsets": [
-                {"features": list(s.features), "dmi": s.dmi,
-                 "mi_with_class": s.mi_with_class, "lagrangian": s.lagrangian,
-                 "selected_info": s.selected_info}
-                for s in self.sufficient_subsets
-            ],
-            "dmi_per_feature": dict(sorted(self.dmi_per_feature.items())),
-            "epsilon": self.epsilon,
-            "lagrange_multiplier": self.lagrange_multiplier,
-        }
+        return _as_lists(asdict(self))
 
 
 def _check(ds: _d.Dataset | None, eps: float, lagrange: float | None = None):
@@ -124,9 +109,9 @@ def find_minimal_markov_blankets(ds: _d.Dataset, f: str,
 
 def _walk(ds: _d.Dataset, f: str, eps: float) -> tuple[RelevanceLevel, list[tuple[str, ...]]]:
     """The level of `f` and its minimal blankets by increasing size.  F \\ f
-    is coded once; a row of I(M; f) per subset size then tests the subsets
-    M that are no superset of a blanket found, and while no witness is
-    known, a second row of I(M + C; f) tests those that are no blanket."""
+    is coded once; its row decides strong relevance.  `_blankets` then walks
+    the subsets M of F \\ f, and while no witness is known, a second row of
+    I(M + C; f) tests those of each size that are no blanket."""
     C = ds.target_name
     rest = [v for v in ds.feature_names if v != f]
     view = (_d.View(*_d.composite_view(ds, rest)),) if rest else ()
@@ -134,21 +119,33 @@ def _walk(ds: _d.Dataset, f: str, eps: float) -> tuple[RelevanceLevel, list[tupl
     if _deficit(full, other) > eps:
         return RelevanceLevel(STRONGLY_RELEVANT), []
     witness, found = None, []
-    for size in range(len(rest)):
-        subsets = [M for M in combinations(rest, size)
-                   if not any(map(set(M).issuperset, found))]
-        open_ = []
-        for M, part in zip(subsets, _mi_row(ds, subsets, f)):
-            if _deficit(full, part) <= eps:
-                found.append(M)
-            else:
-                open_.append((M, part))
+    for blankets, open_ in _blankets(ds, rest, f, full, eps):
+        found += [M for M, _ in blankets]
         if witness is None:
             joint = _mi_row(ds, [M + (C,) for M, _ in open_], f)
             witness = next((M for (M, part), both in zip(open_, joint)
                             if _deficit(both, part) > eps), None)
     level = IRRELEVANT if witness is None else WEAKLY_RELEVANT
-    return RelevanceLevel(level, witness), found or [tuple(rest)]
+    return RelevanceLevel(level, witness), found
+
+
+def _blankets(ds: _d.Dataset, names, target: str, full: float, eps: float):
+    """The one walk over the subsets M of `names`, for each size from 0 up:
+    those that are no superset of a blanket found, split by one row of
+    I(M; target) into blankets, whose deficit full - I(M; target) is within
+    eps, and open subsets.  Yields the two lists of (M, I(M; target)), and
+    stops at the first size with no subset left to test."""
+    found = []
+    for size in range(len(names) + 1):
+        subsets = [M for M in combinations(names, size)
+                   if not any(map(set(M).issuperset, found))]
+        if not subsets:   # each larger subset holds one of this size: all skipped
+            return
+        blankets, open_ = [], []
+        for M, part in zip(subsets, _mi_row(ds, subsets, target)):
+            (blankets if _deficit(full, part) <= eps else open_).append((M, part))
+        found += [M for M, _ in blankets]
+        yield blankets, open_
 
 
 def _mi_row(ds: _d.Dataset, subsets, target: str) -> list[float]:
@@ -169,33 +166,31 @@ def dmi(ds: _d.Dataset, S) -> float:
 
 
 def _sufficiency(ds: _d.Dataset, eps: float, lagrange: float | None):
-    """I(F;C), the Lagrange multiplier (default m / I(F;C)) and every
-    minimum-cardinality subset whose deficit is within eps, by size: one row
-    of I(S;C) over the subsets of each size."""
+    """I(F;C), the Lagrange multiplier (default m / I(F;C)) and the least
+    Markov blankets of C within F: the first size of `_blankets` over F that
+    holds one, every subset of a size measured in one row of I(S;C)."""
     _check(ds, eps, lagrange)
-    full, = _mi_row(ds, [ds.feature_names], ds.target_name)
+    F, C = ds.feature_names, ds.target_name
+    full, = _mi_row(ds, [F], C)
     if lagrange is None:
         lagrange = ds.m / full if full > eps else 1.0
-    results: list[SufficientSubset] = []
-    for size in range(ds.m + 1):
-        subsets = list(combinations(ds.feature_names, size))
-        for S, part in zip(subsets, _mi_row(ds, subsets, ds.target_name)):
-            deficit = _deficit(full, part)
-            if deficit <= eps:
-                results.append(SufficientSubset(
-                    S, dmi=deficit, mi_with_class=part, lagrangian=len(S) - lagrange * part,
-                    selected_info=_d.entropy(ds, list(S)) if S else 0.0))
-        if results:
-            break
-    return full, lagrange, results
+    least = next(blankets for blankets, _ in _blankets(ds, F, C, full, eps) if blankets)
+    return full, lagrange, [
+        SufficientSubset(S, dmi=_deficit(full, part), mi_with_class=part,
+                         lagrangian=len(S) - lagrange * part,
+                         selected_info=_d.entropy(ds, list(S)) if S else 0.0)
+        for S, part in least]
 
 
 def minimal_sufficient_subsets(ds: _d.Dataset, eps: float = EXACT_EPS,
                                lagrange: float | None = None) -> list[SufficientSubset]:
     """All minimum-cardinality subsets whose deficit is within eps.
 
-    The default Lagrange multiplier m / I(F;C) normalizes the reported
-    objective |S| - lambda * I(S;C) so that any sufficient subset beats any
+    As I(F;C) - I(S;C) = I(F \\ S; C | S), these are the least-size Markov
+    blankets of C within F, F itself counted as one, found by the walk that
+    finds each feature's blankets (`_blankets`).  The default Lagrange
+    multiplier m / I(F;C) normalizes the reported objective
+    |S| - lambda * I(S;C) so that any sufficient subset beats any
     insufficient one.
     """
     return _sufficiency(ds, eps, lagrange)[2]

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from miselect import (CriterionSpec, Dataset, QuantizerSpec, RelevanceLevel, StructureReport,
                       analyze, classify_relevance, composite_view, empirical_distribution,
                       find_minimal_markov_blankets, forward_select, is_markov_blanket, load_csv,
-                      plus_l_take_away_r, score, score_all)
+                      minimal_sufficient_subsets, plus_l_take_away_r, score, score_all)
 from miselect import data as mdata
 from miselect import info, search
 from miselect.criteria import PairCache
@@ -773,6 +773,23 @@ def test_is_markov_blanket_equals_per_call_reference(ds, eps):
             block = [ds.target_name] + [v for v in rest if v not in M]
             want = mdata.conditional_mutual_information(ds, [f], block, list(M)) <= eps
             assert is_markov_blanket(ds, f, M, eps) == want, (f, M)
+
+
+@SETTINGS
+@given(structure_datasets(), st.sampled_from([0.0, 1e-9, 0.05]))
+def test_sufficient_subsets_are_least_class_blankets(ds, eps):
+    """The minimal sufficient subsets are the least-size Markov blankets of
+    C within F: the subsets S whose per-call I(F \\ S; C | S) is within eps,
+    F itself counted as one, in `combinations` order."""
+    F, c = ds.feature_names, [ds.target_name]
+
+    def blanket(S):
+        rest = [v for v in F if v not in S]
+        return not rest or mdata.conditional_mutual_information(ds, rest, c, list(S)) <= eps
+
+    blankets = [S for S in _all_subsets(F) if blanket(S)]
+    least = [S for S in blankets if len(S) == len(blankets[0])]
+    assert [s.features for s in minimal_sufficient_subsets(ds, eps)] == least
 
 
 # Pieces of CSV text: number parts, quoting and line ends, the missing-value

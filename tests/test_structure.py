@@ -17,6 +17,7 @@ from miselect import (
     minimal_sufficient_subsets,
 )
 from miselect import data as mdata
+from miselect import structure
 from miselect.structure import IRRELEVANT, STRONGLY_RELEVANT, WEAKLY_RELEVANT
 
 from conftest import H_C, I_X1_C
@@ -334,6 +335,19 @@ class TestAnalyze:
                 walks[target].append(len(cands))
         assert walks.pop("x1") == walks.pop("x4") == [2, 1, 8, 21, 35, 35, 21, 7, 1]
         assert walks == {f: [2] for f in ("x2", "x3", "x5", "x6", "x7", "x8", "x9")}
+
+    def test_walk_stops_at_first_size_with_nothing_to_test(self, monkeypatch):
+        """Each subset of a size past one whose subsets all hold a blanket
+        holds one too, so the walk lists no later size: the noise feature
+        x5 of the m=9 truth table, with the blanket (), lists sizes 0 and 1."""
+        ds, _ = generate(SyntheticSpec(relevant=1, xor_groups=1, redundant_copies=1,
+                                       noise=5, exhaustive=True))
+        sizes = []
+        combos = structure.combinations
+        monkeypatch.setattr(structure, "combinations",
+                            lambda names, size: sizes.append(size) or combos(names, size))
+        assert find_minimal_markov_blankets(ds, "x5") == [()]
+        assert sizes == [0, 1]
 
     @pytest.mark.parametrize("column,level,blankets", [
         ([0, 1, 0, 1], STRONGLY_RELEVANT, ()),
