@@ -1,8 +1,11 @@
 """Eleven selection criteria disagree in instructive ways.
 
 On the truth table from demo 01, purely-individual scoring (MIM) falls
-for the duplicated feature, while criteria that see the class-conditional
-structure (MD, CMIM, JMI, ...) recover the XOR pair.
+for the duplicated feature x4, and most of the others (MD, CMIM, JMI, ...)
+end with the XOR pair x2, x3.  That is partly luck of the column order:
+after x1, MD finds x2, x3 and x4 tied at 0.311 bits, and takes x2 only
+because ties go to the lowest column index.  Once x2 is in, x3 completes
+the pair.
 """
 
 import warnings
@@ -26,7 +29,7 @@ for kind in KINDS:
     print(f"  {kind:7s} -> {list(trace.selected)}   DMI = {gap:.6f}")
 
 print()
-print("step-by-step scores for MD (note the tie between x2 and x3):")
+print("step-by-step scores for MD (x2, x3 and x4 tie at step 2; the lowest index wins):")
 trace = ms.forward_select(ms.CriterionSpec("md"), ds, k=3)
 for step in trace.steps:
     scores = {f: round(v, 6) for f, v in sorted(step.scores.items())}

@@ -31,15 +31,18 @@ class ErrorBounds:
     meta: dict = field(default_factory=dict)
 
 
-def bayes_error_bounds(dist: JointDistribution, f, class_var: str) -> ErrorBounds:
+def bayes_error_bounds(dist: JointDistribution | _d.Dataset, f, class_var: str) -> ErrorBounds:
     """Sandwich the Bayes error of predicting `class_var` from `f`.
 
     `f` may be a set of variables; the bound statement is single-variable
     but extends pointwise to composite views (flagged in the metadata).
+    A `Dataset` is read as its empirical distribution of `f` and the class.
     """
     fs = _as_vars(f)
     if not fs:
         raise ValueError("feature set must be nonempty")
+    if isinstance(dist, _d.Dataset):
+        dist = _d.empirical_distribution(dist, fs + (class_var,))
     class_card = dist.cardinalities[dist.index(class_var)]
     if class_card < 2:
         raise ValueError("class must have at least two states (log|C| = 0 otherwise)")
@@ -62,8 +65,7 @@ def feature_bounds_table(ds: _d.Dataset) -> list[dict]:
     """Per-feature bound rows (feature, mi, lower, upper, exact) for a dataset."""
     rows = []
     for f in ds.feature_names:
-        dist = _d.empirical_distribution(ds, [f, ds.target_name])
-        b = bayes_error_bounds(dist, [f], ds.target_name)
+        b = bayes_error_bounds(ds, [f], ds.target_name)
         rows.append({"feature": f, "mi": b.mi, "lower": b.lower,
                      "upper": b.upper, "exact": b.exact})
     return rows

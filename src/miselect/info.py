@@ -162,9 +162,10 @@ class _PlaneStore:
         at = [self.slot.get(f) for f in block]
         return None if None in at else np.array(at)
 
-    def rows(self, at):
+    def rows(self, at, card):
         """The planes and popcounts of the columns at slots `at`, gathered in
-        that order."""
+        that order, and the row of each plane in a (len(at), card) layout:
+        i * card + a for value a of the i-th column."""
         if self.planes is None:
             rows = int((self.cards - 1).sum())
             self.planes = np.empty((rows, self.words), dtype=np.uint64)
@@ -176,74 +177,67 @@ class _PlaneStore:
             self.pops[here] = np.bitwise_count(planes).sum(axis=1)
             self.built[j] = True
         width = self.cards[at] - 1
-        first = np.cumsum(width) - width
-        take = np.arange(width.sum()) + np.repeat(self.start[at] - first, width)
-        return self.planes[take], self.pops[take]
+        own = np.repeat(np.arange(len(at)), width)
+        value = np.arange(len(own)) - (np.cumsum(width) - width)[own]   # a - 1
+        take = self.start[at][own] + value
+        return self.planes[take], self.pops[take], own * card + value + 1
 
 
 def _count_codes(cols, g, radix, n, weights=None):
-    """The nonzero cells of the block layout and their counts, or summed
-    `weights` over the rows, and the candidates' cardinalities in it.  Each
-    candidate takes one `np.bincount` of its mixed-radix codes, in the
-    narrowest dtype from int16 that holds them, or a sort when the block's
-    layout passes twice its number of codes.  A column whose cardinality
-    passes n is ranked first."""
+    """The nonzero cells of the block's (k, card, radix) layout and their
+    counts, or summed `weights` over the rows, and its card: the largest
+    cardinality of the k candidates.  Each candidate takes one `np.bincount`
+    of its mixed-radix codes, in the narrowest dtype from int16 that holds
+    the layout, or a sort when its own cells pass twice its number of
+    codes.  A column whose cardinality passes n is ranked first."""
     cols = [_ranks(col, card) if card > n else (col, card) for col, card in cols]
-    cards = [card for _, card in cols]
-    dense = sum(cards) * radix <= 2 * n * len(cols)
-    dtype = np.result_type(np.int16, np.min_scalar_type(max(cards) * radix))
+    card = max(c for _, c in cols)
+    dtype = np.result_type(np.int16, np.min_scalar_type(card * radix))
     g = np.asarray(g, dtype=dtype)
     code = np.empty(n, dtype=dtype)
-    cells, counts, start = [], [], 0
-    for col, card in cols:
+    cells, counts = [], []
+    for i, (col, c) in enumerate(cols):
         np.multiply(col, radix, out=code, dtype=dtype)
         code += g
-        if dense:   # the layout's cells in order, zeros too
-            counts.append(np.bincount(code, weights, minlength=card * radix))
-            continue
-        if weights is None:
+        if c * radix <= 2 * n:
+            count = np.bincount(code, weights, minlength=c * radix)
+            at = np.flatnonzero(count)
+            count = count[at]
+        elif weights is None:
             at, count = np.unique(code, return_counts=True)
         else:
             at, inverse = np.unique(code, return_inverse=True)
             count = np.bincount(inverse, weights)
-        cells.append(at.astype(np.int64) + start)
+        cells.append(at.astype(np.int64) + i * card * radix)
         counts.append(count)
-        start += card * radix
-    counts = np.concatenate(counts)
-    if dense:
-        cells = [np.flatnonzero(counts)]
-        counts = counts[cells[0]]
-    return np.concatenate(cells), counts, cards
+    return np.concatenate(cells), np.concatenate(counts), card
 
 
-def _count_planes(planes, pops, cards, g, radix):
-    """The nonzero cells of the block layout and their counts, from the
-    candidates' complement planes and their popcounts (`_PlaneStore.rows`).
+def _count_planes(planes, pops, place, k, card, group_planes, group_counts):
+    """The nonzero cells of the block's (k, card, radix) layout and their
+    counts, from the candidates' complement planes, their popcounts and
+    their rows `place` in the layout (`_PlaneStore.rows`), and the planes
+    of the groups' code g for values 0..radix-2 and its count of each value.
 
     Cell (a, b) for a value a > 0 and b < radix - 1 is the popcount of plane
     a AND the plane of g == b; the cell of the last b is what the others
     leave of plane a's popcount, and the cell (0, b) what the values a > 0
     leave of the count of g == b.
     """
-    sums = np.int32 if len(g) < 2**31 else np.int64
+    sums = np.int32 if 64 * planes.shape[1] < 2**31 else np.int64
+    radix = len(group_counts)
     above = np.empty((len(planes), radix), dtype=np.int64)   # the cells of values a > 0
     both = np.empty_like(planes)
     bits = np.empty(planes.shape, dtype=np.uint8)
-    for b, plane in enumerate(_planes(g, radix - 1)):
+    for b, plane in enumerate(group_planes):
         np.bitwise_and(planes, plane, out=both)
         np.bitwise_count(both, out=bits)
         above[:, b] = bits.sum(axis=1, dtype=sums)
     above[:, -1] = pops - above[:, :-1].sum(axis=1)
-    # each candidate's rows of `above`, and what they leave of the count of b
-    width = cards - 1
-    first = np.cumsum(width) - width
-    upto = np.zeros((len(above) + 1, radix), dtype=np.int64)
-    np.cumsum(above, axis=0, out=upto[1:])
-    zero = np.zeros(len(above) + len(cards), dtype=bool)
-    zero[first + np.arange(len(cards))] = True
-    counts = np.empty((len(zero), radix), dtype=np.int64)
-    counts[zero] = np.bincount(g, minlength=radix) - (upto[first + width] - upto[first])
-    counts[~zero] = above
+    counts = np.zeros((k * card, radix), dtype=np.int64)
+    counts[place] = above
+    counts = counts.reshape(k, card, radix)
+    counts[:, 0] = group_counts - counts[:, 1:].sum(axis=1)
     counts = counts.ravel()
     cells = np.flatnonzero(counts)
     return cells, counts[cells]
@@ -343,22 +337,14 @@ def _layout(table, groups):
     return g, radix, parts
 
 
-def _rows(cells, counts, cards, radix, parts, table) -> _Rows:
-    """The `_Rows` of a block's counted layout, in which candidate f's cell
-    (a, b) for f = a and the groups' code b sits at start(f) + a * radix + b."""
-    which = np.zeros(len(cells), dtype=np.int64)
-    if len(cards) == 1:
-        local = cells
-    else:
-        size = np.array(cards) * radix
-        start = np.cumsum(size) - size
-        # every candidate has a cell, so the next one starts a cell later
-        which[np.searchsorted(cells, start[1:])] = 1
-        which = np.cumsum(which)
-        local = cells - start[which]
-    value, b = np.divmod(local, radix)
-    comps = [(value, max(cards))] + [(b if part is None else part[b], c) for part, c in parts]
-    return _Rows(counts, which, comps, len(cards), table)
+def _rows(cells, counts, k, card, radix, parts, table) -> _Rows:
+    """The `_Rows` of a block's counted (k, card, radix) layout, in which
+    the i-th candidate's cell (a, b) for f = a and the groups' code b sits
+    at (i * card + a) * radix + b."""
+    cell, b = np.divmod(cells, radix)
+    which, value = np.divmod(cell, card)
+    comps = [(value, card)] + [(b if part is None else part[b], c) for part, c in parts]
+    return _Rows(counts, which, comps, k, table)
 
 
 def _row_tables(table, candidates, groups):
@@ -380,7 +366,7 @@ def _row_tables(table, candidates, groups):
                                                    or not fixed.isdisjoint(x)):
             _check_disjoint(x, *groups)
     g, radix, parts = _layout(table, groups)
-    store = table.planes
+    store, group = table.planes, None
     per_block = max(1, BLOCK_CODES // table.n)
     for i in range(0, len(candidates), per_block):
         block = candidates[i:i + per_block]
@@ -388,13 +374,15 @@ def _row_tables(table, candidates, groups):
         cards = None if at is None else store.cards[at]
         if (cards is not None
                 and np.maximum(cards - 1, 1).sum() * (radix - 1) <= PLANE_CELLS * len(block)):
-            cells, counts = _count_planes(*store.rows(at), cards, g, radix)
-            cards = cards.tolist()
+            if group is None:   # built once per row
+                group = _planes(g, radix - 1), np.bincount(g, minlength=radix)
+            card = int(cards.max())
+            cells, counts = _count_planes(*store.rows(at, card), len(block), card, *group)
         else:
             cols = [_code([table.column(v) for v in f], table.n) if isinstance(f, tuple)
                     else table.column(f) for f in block]
-            cells, counts, cards = _count_codes(cols, g, radix, table.n, table.weights)
-        yield _rows(cells, counts, cards, radix, parts, table)
+            cells, counts, card = _count_codes(cols, g, radix, table.n, table.weights)
+        yield _rows(cells, counts, len(block), card, radix, parts, table)
 
 
 def _row_values(tables) -> np.ndarray:

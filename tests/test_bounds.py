@@ -123,6 +123,13 @@ def test_composite_feature_flagged():
                                  abs=1e-12)
 
 
+@pytest.mark.parametrize("f", [["f2"], ["f0", "f3"]])
+def test_bounds_of_a_dataset_are_those_of_its_distribution(f):
+    ds = random_dataset(np.random.default_rng(17), n=500, m=4, card=4, class_card=3)
+    want = bayes_error_bounds(empirical_distribution(ds, f + ["y"]), f, "y")
+    assert bayes_error_bounds(ds, f, "y") == want
+
+
 def test_feature_bounds_table():
     _, ds = example1()
     rows = feature_bounds_table(ds)

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,6 +285,20 @@ class TestInfo:
         monkeypatch.setenv("MISELECT_THREADS", "4")
         run(args + ["--out", str(tmp_path / "b.json")])
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_runs_as_a_process(self, ex1_csv):
+        """`python -m miselect.cli` exits with main's return code."""
+        src = str(Path(__file__).parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        args = [sys.executable, "-m", "miselect.cli", "info", ex1_csv,
+                "--quantizer", "pass-through", "--target"]
+        done = subprocess.run(args + ["C"], env=env, capture_output=True, text=True)
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["class_relevance"]["x1"] == pytest.approx(
+            0.311278124459, abs=1e-9)
+        done = subprocess.run(args + ["nope"], env=env, capture_output=True, text=True)
+        assert done.returncode == 4
 
 
 class TestBadTokens:

@@ -583,6 +583,21 @@ class TestFastEstimators:
         assert built.count(True) == 1
         assert [v for v in store.names if store.built[store.slot[v]]] == ["f3"]
 
+    def test_group_planes_built_once_per_row(self, monkeypatch):
+        """A row whose candidates fill a block each builds the fixed group's
+        planes once, not once per block."""
+        ds = random_dataset(np.random.default_rng(16), n=300, m=7, card=3)
+        names = list(ds.feature_names[:6])
+        monkeypatch.setattr(info, "BLOCK_CODES", ds.n)
+        mdata.mutual_information_row(ds, names, ["y"])    # builds the candidates' planes
+        built = []
+        planes = info._planes
+        monkeypatch.setattr(info, "_planes", lambda code, card: built.append(card)
+                            or planes(code, card))
+        assert mdata.mutual_information_row(ds, names, ["f6"]) == [
+            mdata.mutual_information(ds, [f], ["f6"]) for f in names]
+        assert built == [2]   # values 0..radix-2 of the group f6
+
     def test_one_valued_candidate_costs_one_plane_value(self, monkeypatch):
         """In the plane rule a one-valued candidate costs as one value, so
         against a group of n values it is counted by codes and builds no
@@ -595,8 +610,8 @@ class TestFastEstimators:
         ds = Dataset(feats, rng.integers(0, 2, n), (1, n, 2), 2, ("const", "id", "b"), "y")
         by_planes = []
         count_planes = info._count_planes
-        monkeypatch.setattr(info, "_count_planes", lambda planes, pops, cards, g, radix: (
-            by_planes.append(radix) or count_planes(planes, pops, cards, g, radix)))
+        monkeypatch.setattr(info, "_count_planes", lambda *args: (   # radix: the group's counts
+            by_planes.append(len(args[-1])) or count_planes(*args)))
         for cands in (["const"], ["const", "b"]):
             assert mdata.mutual_information_row(ds, cands, ["id"]) == [
                 mdata.mutual_information(ds, [f], ["id"]) for f in cands]

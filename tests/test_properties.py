@@ -230,12 +230,15 @@ def test_plane_counts_equal_code_counts(ds, data):
     fixed = [info._code([ds.codes(v) for v in g], ds.n) for g in (names[:a], names[a:b]) if g]
     g, radix = info._code(fixed, ds.n)
     cols = [ds.codes(f) for f in names[b:]]
-    cells, counts, cards = info._count_codes(cols, g, radix, ds.n)
+    cells, counts, card = info._count_codes(cols, g, radix, ds.n)
     planes = np.concatenate([info._planes(*col)[1:] for col in cols])   # values 1..card-1
-    got = info._count_planes(planes, np.bitwise_count(planes).sum(axis=1),
-                             np.array([card for _, card in cols]), g, radix)
+    most = max(c for _, c in cols)
+    place = np.concatenate([i * most + np.arange(1, c) for i, (_, c) in enumerate(cols)])
+    got = info._count_planes(planes, np.bitwise_count(planes).sum(axis=1), place,
+                             len(cols), most, info._planes(g, radix - 1),
+                             np.bincount(g, minlength=radix))
     assert np.array_equal(got[1], counts)
-    if cards == [card for _, card in cols]:   # else ranked: other cell numbers, same order
+    if card == most:   # else ranked: other cell numbers, same order
         assert np.array_equal(got[0], cells)
 
 
@@ -299,15 +302,29 @@ def test_narrow_bincounts_equal_int64_codes(n, scales, radix_scale, seed):
     radix = min(size(radix_scale), n)
     g = rng.integers(0, radix, n)
     ranked = [info._ranks(col, card) if card > n else (col, card) for col, card in cols]
-    size = np.array([card for _, card in ranked]) * radix
-    codes = [col.astype(np.int64) * radix + g + start
-             for (col, _), start in zip(ranked, np.cumsum(size) - size)]
+    size = max(card for _, card in ranked) * radix
+    codes = [col.astype(np.int64) * radix + g + i * size for i, (col, _) in enumerate(ranked)]
     want_cells, want_counts = np.unique(np.concatenate(codes), return_counts=True)
     for weights in (None, np.ones(n)):
-        cells, counts, cards = info._count_codes(cols, g, radix, n, weights)
-        assert cards == [card for _, card in ranked]
+        cells, counts, card = info._count_codes(cols, g, radix, n, weights)
+        assert card == max(card for _, card in ranked)
         assert cells.tolist() == want_cells.tolist()
         assert counts.tolist() == want_counts.tolist()
+
+
+def test_wide_candidate_is_sorted_alone(monkeypatch):
+    """A block of five-valued candidates and one of n values sorts only the
+    wide one's codes: the others are counted by bincount, as in a block
+    of their own."""
+    rng = np.random.default_rng(18)
+    n = 1000
+    cols = [(rng.integers(0, 5, n), 5) for _ in range(3)] + [(rng.permutation(n), n)]
+    g = rng.integers(0, 3, n)
+    unique, sorted_ = np.unique, []
+    monkeypatch.setattr(np, "unique", lambda code, **kw: sorted_.append(len(code))
+                        or unique(code, **kw))
+    cells, counts, card = info._count_codes(cols, g, 3, n)
+    assert (sorted_, card, counts.sum()) == ([n], n, 4 * n)
 
 
 @SETTINGS
