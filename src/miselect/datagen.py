@@ -7,8 +7,7 @@ x4 = x1: a weakly relevant pair of duplicates plus a synergistic XOR pair.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,28 +50,18 @@ class SyntheticSpec:
 
 
 def example1() -> tuple[JointDistribution, Dataset]:
-    """The canonical 8-row truth table, as exact distribution and dataset."""
-    rows = []
-    for x1, x2, x3 in itertools.product((0, 1), repeat=3):
-        c = 1 if (x1 or (x2 ^ x3)) else 0
-        rows.append((x1, x2, x3, x1, c))
+    """The canonical 8-row truth table, as exact distribution and dataset:
+    the exhaustive table of one relevant feature, one XOR pair and one copy."""
+    ds, _ = generate(SyntheticSpec(relevant=1, xor_groups=1, redundant_copies=1,
+                                   exhaustive=True))
+    rows = map(tuple, np.column_stack([ds.features, ds.class_codes]).tolist())
     dist = JointDistribution(
-        variables=("x1", "x2", "x3", "x4", "C"),
-        cardinalities=(2, 2, 2, 2, 2),
-        mass={row: 1 / 8 for row in rows},
+        variables=ds.feature_names + (ds.target_name,),
+        cardinalities=ds.feature_cards + (ds.class_card,),
+        mass=dict.fromkeys(rows, 1 / ds.n),
         origin="exact",
     )
-    arr = np.array(rows, dtype=np.int64)
-    ds = Dataset(
-        features=arr[:, :4],
-        class_codes=arr[:, 4],
-        feature_cards=(2, 2, 2, 2),
-        class_card=2,
-        feature_names=("x1", "x2", "x3", "x4"),
-        target_name="C",
-        meta={"fixture": "example1"},
-    )
-    return dist, ds
+    return dist, replace(ds, meta={"fixture": "example1"})
 
 
 # Base-column values written at a time, a block of whole rows; int64 draws in

@@ -68,8 +68,10 @@ def _code(cols, n: int) -> tuple[np.ndarray, int]:
 
     Codes order the rows lexicographically by the columns.  Whenever the
     radix passes n the code is recoded to dense ranks, and so is a column
-    whose cardinality passes n: the radix returned is at most n.  The code
-    of one column may be that column's own array: callers never write it.
+    whose cardinality passes n: the radix returned is at most n.  Once the
+    ranks number n the rows are all apart, no later column can reorder them,
+    and those ranks are returned.  The code of one column may be that
+    column's own array: callers never write it.
     """
     if not cols:
         raise ValueError("information measures need nonempty variable sets")
@@ -81,6 +83,8 @@ def _code(cols, n: int) -> tuple[np.ndarray, int]:
         radix *= card
         if radix > n:
             code, radix = _ranks(code, radix)
+            if radix == n:
+                break
     return code, radix
 
 
@@ -91,7 +95,8 @@ def _leave_one_out(cols, n: int) -> list[tuple[np.ndarray, int]]:
     the two-column code of the columns before i and those after it, or one
     of the two at either end.  Prefixes and suffixes grow a column at a
     time: O(len(cols)) two-column `_code` calls, O(len(cols) * n) memory.
-    Needs at least two columns.
+    Once a prefix keeps every row apart (n distinct codes of radix n), each
+    later entry is that prefix.  Needs at least two columns.
     """
     if len(cols) < 2:
         raise ValueError("leaving one column out needs at least two columns")
@@ -101,6 +106,8 @@ def _leave_one_out(cols, n: int) -> list[tuple[np.ndarray, int]]:
     suffix.reverse()              # suffix[i] codes cols[i + 1:]
     out, prefix = [suffix[0]], cols[0]
     for i in range(1, len(cols) - 1):
+        if prefix[1] == n and np.bincount(prefix[0], minlength=n).all():
+            return out + [prefix] * (len(cols) - i)
         out.append(_code([prefix, suffix[i]], n))
         prefix = _code([prefix, cols[i]], n)   # now codes cols[:i + 1]
     return out + [prefix]

@@ -64,11 +64,13 @@ def _pick_extremum(ds: _d.Dataset, scores: dict[str, float],
 def _removal_scores(ds: _d.Dataset, S: list[str]) -> dict[str, float]:
     # criterion-agnostic backward objective: I(f;C | S\f), with S\f as the
     # leave-one-out views of S; a lone feature keeps an empty Z, as a
-    # constant view would change the last digits
+    # constant view would change the last digits.  A view of support n puts
+    # each row in its own stratum, where every term is p log2(1.0) = 0.0
     target = [ds.target_name]
     if len(S) == 1:
         return {S[0]: _d.conditional_mutual_information(ds, S, target, [])}
-    return {f: _d.conditional_mutual_information(ds, [f], target, [view])
+    return {f: 0.0 if view.support == ds.n
+            else _d.conditional_mutual_information(ds, [f], target, [view])
             for f, view in zip(S, _d.leave_one_out_views(ds, S))}
 
 

@@ -15,7 +15,33 @@ from miselect.structure import IRRELEVANT, minimal_sufficient_subsets
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def reference_example1_rows():
+    """The review's table built by hand: every (x1, x2, x3) in
+    itertools.product order, C = x1 OR (x2 XOR x3) and x4 = x1."""
+    return [(x1, x2, x3, x1, x1 | (x2 ^ x3))
+            for x1, x2, x3 in itertools.product((0, 1), repeat=3)]
+
+
 class TestExample1:
+    def test_equals_hand_built_reference(self):
+        dist, ds = example1()
+        rows = reference_example1_rows()
+        assert dist.variables == ("x1", "x2", "x3", "x4", "C")
+        assert dist.cardinalities == (2, 2, 2, 2, 2)
+        assert list(dist.mass.items()) == [(row, 1 / 8) for row in rows]
+        assert dist.origin == "exact"
+        assert dist.sample_count is None
+        arr = np.array(rows)
+        assert np.array_equal(ds.features, arr[:, :4])
+        assert np.array_equal(ds.class_codes, arr[:, 4])
+        assert ds.features.dtype == ds.class_codes.dtype == np.int8
+        assert ds.features.flags.f_contiguous
+        assert ds.feature_names == ("x1", "x2", "x3", "x4")
+        assert ds.target_name == "C"
+        assert ds.feature_cards == (2, 2, 2, 2)
+        assert ds.class_card == 2
+        assert ds.meta == {"fixture": "example1"}
+
     def test_truth_table_row(self):
         dist, _ = example1()
         assert dist.mass[(1, 1, 0, 1, 1)] == pytest.approx(1 / 8)

@@ -212,6 +212,45 @@ def test_ranks_by_counting_equal_unique(data):
     assert np.array_equal(ranks, inverse)
 
 
+@st.composite
+def code_tables(draw):
+    """(codes, cardinality) columns of n rows, with cardinalities declared
+    at or above the codes' (some above n).  Half of the tables hold a
+    column of n distinct codes, so that their rows come apart there; in
+    half, n is the first two columns' radix, which an unranked code then
+    reaches with rows that may repeat."""
+    observed = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+    cards = [c + draw(st.sampled_from((0, 0, 1, 100))) for c in observed]
+    n = draw(st.sampled_from([math.prod(cards[:2]), draw(st.integers(1, 40))]))
+    cols = [(np.array(draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n))), card)
+            for c, card in zip(observed, cards)]
+    if draw(st.booleans()):
+        apart = np.array(draw(st.permutations(range(n))))
+        cols.insert(draw(st.integers(0, len(cols))), (apart, n + draw(st.sampled_from((0, 3)))))
+    return cols, n
+
+
+@SETTINGS
+@given(code_tables())
+def test_code_stops_once_rows_are_apart(case):
+    """`_code` stops once its ranks number n; its ranks equal those of a
+    loop that codes every column, and its radix is n when the rows are
+    all distinct."""
+    cols, n = case
+    ranks = np.zeros(n, dtype=np.int64)
+    for col, _ in cols:
+        ranks = np.unique(ranks * (int(col.max()) + 1) + col, return_inverse=True)[1]
+    code, radix = info._code(cols, n)
+    got, count = info._ranks(code, radix)
+    assert np.array_equal(got, ranks)
+    distinct = len(set(zip(*(col.tolist() for col, _ in cols))))
+    assert count == distinct
+    assert radix <= n
+    if distinct == n:
+        assert radix == n
+    event(f"rows apart: {distinct == n}")
+
+
 def kernel_datasets():
     """Datasets of 1 to 300 rows, so fewer than the 64 rows of one plane
     word and row counts that are no multiple of 64, with small
@@ -687,6 +726,42 @@ def test_joint_scores_equal_per_call_measures_on_larger_data(size):
     joint = {f: mdata.mutual_information(ds, S + [f], c) for f in cands}
     assert score_all(CriterionSpec("md"), cands, S, ds).scores == joint
     assert score_all(CriterionSpec("mmd"), cands, S, ds).scores == _mmd(ds, cands, joint)
+
+
+@pytest.mark.parametrize("order, supports", [
+    ("copy b1 b2 b3 b4 b5 b0 n1 n2", [64, 54, 54, 52, 57, 55, 64, 64, 64]),
+    ("copy b0 b1 b2 b3 b4 b5 n1 n2", [64, 64, 54, 54, 52, 57, 55, 64, 64]),
+])
+def test_leave_one_out_after_the_prefix_keeps_rows_apart(order, supports):
+    """64 rows: the six bits of the row index, b0 the top one, a copy of b0
+    and two seeded noise bits.  In the first order the prefix (copy,
+    b1..b5) keeps every row apart, so the last three views are that
+    prefix.  In the second, the prefix (copy, b0..b4) reaches radix 64
+    unranked with only 32 distinct rows, so it is not apart.  In both, the
+    five views that leave out one of b1..b5 have fewer distinct rows than
+    n, and only they are counted."""
+    n = 64
+    bits = [(np.arange(n) >> (5 - j)) & 1 for j in range(6)]
+    rng = np.random.default_rng(0)
+    cols = [bits[0]] + bits + [rng.integers(0, 2, size=n) for _ in range(2)]
+    cls = bits[0] | (bits[1] ^ bits[2])
+    ds = Dataset(np.column_stack(cols), cls, (2,) * 9, 2,
+                 ("copy", "b0", "b1", "b2", "b3", "b4", "b5", "n1", "n2"), "C")
+    S = order.split()
+    views = mdata.leave_one_out_views(ds, S)
+    assert [view.support for view in views] == supports
+    for f, view in zip(S, views):
+        codes, support = composite_view(ds, [v for v in S if v != f])
+        assert view.support == support
+        assert view.codes.tolist() == codes.tolist()
+    c = [ds.target_name]
+    want = {f: mdata.conditional_mutual_information(ds, [f], c, [v for v in S if v != f])
+            for f in S}
+    with mock.patch.object(mdata, "conditional_mutual_information",
+                           wraps=mdata.conditional_mutual_information) as cmi:
+        assert search._removal_scores(ds, S) == want
+    assert cmi.call_count == 5              # one per view of support < n
+    assert want["b1"] > 0 and want["b0"] == 0.0
 
 
 # The exhaustive structure walks, each subset tested by its own per-call
