@@ -9,6 +9,7 @@ precondition errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -39,13 +40,16 @@ def _format_floats(obj):
     return obj
 
 
+def _out(path: str | None):
+    """The file at `path` opened to write, or stdout when there is no path."""
+    return (open(path, "w", newline="", encoding="utf-8") if path
+            else contextlib.nullcontext(sys.stdout))
+
+
 def _emit(report: dict, out: str | None):
     text = json.dumps(_format_floats(report), sort_keys=True, indent=2)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with _out(out) as fh:
+        fh.write(text + "\n")
 
 
 def _tool_meta() -> dict:
@@ -91,10 +95,8 @@ def _cmd_select(args) -> int:
     report["meta"].update(_tool_meta())
     _emit(report, args.out)
     if args.features_out:
-        with open(args.features_out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rank", "feature"])
-            writer.writerows(enumerate(trace.selected, start=1))
+        with _out(args.features_out) as fh:
+            csv.writer(fh).writerows([("rank", "feature"), *enumerate(trace.selected, start=1)])
     return EXIT_OK
 
 
@@ -110,15 +112,11 @@ def _cmd_bounds(args) -> int:
     ds = _load(args)
     rows = _bounds.feature_bounds_table(ds)
     if args.format == "csv":
-        target = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-        try:
-            writer = csv.writer(target)
+        with _out(args.out) as fh:
+            writer = csv.writer(fh)
             columns = ["feature", "mi", "lower", "upper", "exact"]
             writer.writerow(columns)
             writer.writerows([r["feature"]] + [f"{r[k]:.12g}" for k in columns[1:]] for r in rows)
-        finally:
-            if args.out:
-                target.close()
     else:
         _emit({"bounds": rows, "meta": _tool_meta()}, args.out)
     return EXIT_OK
@@ -130,7 +128,7 @@ def _cmd_gen(args) -> int:
         redundant_copies=args.redundant_copies, noise=args.noise,
         flip_prob=args.flip_prob, seed=args.seed, exhaustive=args.exhaustive)
     ds, roles = _gen.generate(spec)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    with _out(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(list(ds.feature_names) + [ds.target_name])
         writer.writerows(np.column_stack([ds.features, ds.class_codes]).tolist())

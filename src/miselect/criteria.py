@@ -247,6 +247,8 @@ def score_all(spec: CriterionSpec, candidates, S, ds: _d.Dataset,
     S = tuple(S)
     if len(set(S)) < len(S):
         raise ValueError(f"selected set repeats {[s for s in S if S.count(s) > 1][0]!r}")
+    for s in S:   # the target or a name no column has raises "unknown column"
+        ds.column_index(s)
     cand = list(dict.fromkeys(candidates))
     if set(cand) & set(S):
         raise ValueError("candidates and selected set overlap")

@@ -118,7 +118,7 @@ def _leave_one_out(cols, n: int) -> list[tuple[np.ndarray, int]]:
 BLOCK_CODES = 1 << 20
 
 # Counting by bit planes costs one AND and popcount of n/64 words for each
-# pair of a value 1..card-1 of a candidate and a value 0..radix-2 of the
+# pair of a value 1..card-1 of a candidate and a value 1..radix-1 of the
 # groups (`_count_planes`); counting by codes costs a few passes over n codes
 # for each candidate.  Planes are used while the block costs at most this
 # many such pairs per candidate, a one-valued candidate counted as one value
@@ -133,20 +133,20 @@ PLANE_VALUES = 65
 
 
 def _planes(code: np.ndarray, card: int) -> np.ndarray:
-    """One bit plane per value 0..card-1 of a column: bit i of plane a is
-    set where code[i] == a.  A (card, ceil(n/64)) uint64 array; bits past n
-    are 0.  The codes' dtype must hold card - 1."""
+    """The complement bit planes of a column: one per value 1..card-1, value
+    0 being what they leave, bit i of the plane of value a set where
+    code[i] == a.  A (card - 1, ceil(n/64)) uint64 array; bits past n are 0.
+    The codes' dtype must hold card - 1."""
     n = len(code)
-    bits = np.zeros((card, -(-n // 64) * 64), dtype=bool)
+    bits = np.zeros((card - 1, -(-n // 64) * 64), dtype=bool)
     # values in the codes' own dtype: a mixed-dtype compare is 3x slower
-    np.equal(code, np.arange(card, dtype=code.dtype)[:, None], out=bits[:, :n])
+    np.equal(code, np.arange(1, card, dtype=code.dtype)[:, None], out=bits[:, :n])
     return np.packbits(bits, axis=1).view(np.uint64)
 
 
 class _PlaneStore:
-    """The complement bit planes of a table's columns: the `_planes` of each
-    column's values 1..card-1, value 0 being what they leave, and the
-    popcount of each, in one (sum(card - 1), ceil(n/64)) uint64 array.
+    """The `_planes` of a table's columns and the popcount of each, in one
+    (sum(card - 1), ceil(n/64)) uint64 array.
 
     `slots` numbers the columns of PLANE_VALUES values or fewer; a column's
     planes are built the first time a block holds it, written into its own
@@ -178,7 +178,7 @@ class _PlaneStore:
             self.planes = np.empty((rows, self.words), dtype=np.uint64)
             self.pops = np.empty(rows, dtype=np.int64)
         for j in at[~self.built[at]]:
-            planes = _planes(*self.column(self.names[j]))[1:]
+            planes = _planes(*self.column(self.names[j]))
             here = slice(self.start[j], self.start[j] + len(planes))
             self.planes[here] = planes
             self.pops[here] = np.bitwise_count(planes).sum(axis=1)
@@ -222,25 +222,24 @@ def _count_codes(cols, g, radix, n, weights=None):
 
 def _count_planes(planes, pops, place, k, card, group_planes, group_counts):
     """The nonzero cells of the block's (k, card, radix) layout and their
-    counts, from the candidates' complement planes, their popcounts and
-    their rows `place` in the layout (`_PlaneStore.rows`), and the planes
-    of the groups' code g for values 0..radix-2 and its count of each value.
+    counts, from the candidates' planes, their popcounts and their rows
+    `place` in the layout (`_PlaneStore.rows`), and the `_planes` of the
+    groups' code g and its count of each value.
 
-    Cell (a, b) for a value a > 0 and b < radix - 1 is the popcount of plane
-    a AND the plane of g == b; the cell of the last b is what the others
-    leave of plane a's popcount, and the cell (0, b) what the values a > 0
-    leave of the count of g == b.
+    Cell (a, b) for values a, b > 0 is the popcount of plane a AND plane b.
+    A cell of value 0 is what the others leave: (a, 0) of plane a's
+    popcount, (0, b) of the count of g == b.
     """
     sums = np.int32 if 64 * planes.shape[1] < 2**31 else np.int64
     radix = len(group_counts)
     above = np.empty((len(planes), radix), dtype=np.int64)   # the cells of values a > 0
     both = np.empty_like(planes)
     bits = np.empty(planes.shape, dtype=np.uint8)
-    for b, plane in enumerate(group_planes):
+    for b, plane in enumerate(group_planes, 1):
         np.bitwise_and(planes, plane, out=both)
         np.bitwise_count(both, out=bits)
         above[:, b] = bits.sum(axis=1, dtype=sums)
-    above[:, -1] = pops - above[:, :-1].sum(axis=1)
+    above[:, 0] = pops - above[:, 1:].sum(axis=1)
     counts = np.zeros((k * card, radix), dtype=np.int64)
     counts[place] = above
     counts = counts.reshape(k, card, radix)
@@ -382,7 +381,7 @@ def _row_tables(table, candidates, groups):
         if (cards is not None
                 and np.maximum(cards - 1, 1).sum() * (radix - 1) <= PLANE_CELLS * len(block)):
             if group is None:   # built once per row
-                group = _planes(g, radix - 1), np.bincount(g, minlength=radix)
+                group = _planes(g, radix), np.bincount(g, minlength=radix)
             card = int(cards.max())
             cells, counts = _count_planes(*store.rows(at, card), len(block), card, *group)
         else:

@@ -157,6 +157,20 @@ class TestScoreAll:
         with pytest.raises(ValueError, match="selected set repeats 'b'"):
             score(spec, "a", ["b", "c", "b"], ds)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("selected", [["zz"], ["C"]])
+    def test_selected_set_of_no_feature_rejected(self, kind, selected, monkeypatch):
+        """A selected set that names the target or an unknown column is
+        rejected before any row is counted, by every kind: with C in S, MD
+        would score every candidate H(C), and MIM would ignore S."""
+        _, ds = example1()
+        rows = []
+        monkeypatch.setattr(info, "_row_tables", lambda *args: rows.append(args))
+        spec = CriterionSpec(kind, beta=1.0 if kind == "mifs" else None)
+        with pytest.raises(ValueError, match=f"unknown column '{selected[0]}'"):
+            score_all(spec, ["x2", "x3"], selected, ds)
+        assert rows == []
+
     def test_joint_scores_are_rows(self, monkeypatch):
         """An MD step is one row over its candidates and an MMD step two, the
         joints and the complements, with no per-candidate measure, whether

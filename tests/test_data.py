@@ -596,7 +596,7 @@ class TestFastEstimators:
                             or planes(code, card))
         assert mdata.mutual_information_row(ds, names, ["f6"]) == [
             mdata.mutual_information(ds, [f], ["f6"]) for f in names]
-        assert built == [2]   # values 0..radix-2 of the group f6
+        assert built == [3]   # the radix of the group f6: planes of its values 1 and 2
 
     def test_one_valued_candidate_costs_one_plane_value(self, monkeypatch):
         """In the plane rule a one-valued candidate costs as one value, so

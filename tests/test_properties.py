@@ -273,11 +273,11 @@ def test_plane_counts_equal_code_counts(ds, data):
     g, radix = info._code(fixed, ds.n)
     cols = [ds.codes(f) for f in names[b:]]
     cells, counts, card = info._count_codes(cols, g, radix, ds.n)
-    planes = np.concatenate([info._planes(*col)[1:] for col in cols])   # values 1..card-1
+    planes = np.concatenate([info._planes(*col) for col in cols])   # values 1..card-1
     most = max(c for _, c in cols)
     place = np.concatenate([i * most + np.arange(1, c) for i, (_, c) in enumerate(cols)])
     got = info._count_planes(planes, np.bitwise_count(planes).sum(axis=1), place,
-                             len(cols), most, info._planes(g, radix - 1),
+                             len(cols), most, info._planes(g, radix),
                              np.bincount(g, minlength=radix))
     assert np.array_equal(got[1], counts)
     if card == most:   # else ranked: other cell numbers, same order
@@ -312,6 +312,11 @@ def test_complement_planes_count_as_codes(ds, per_block, data):
     finally:
         info.PLANE_CELLS, info.BLOCK_CODES = saved
     assert all(store.built[store.slot[f]] for f in cands)
+    for f in cands:   # a column's rows are its `_planes` as they come
+        want = info._planes(*ds.codes(f))
+        here = slice(store.start[store.slot[f]], store.start[store.slot[f]] + len(want))
+        assert np.array_equal(store.planes[here], want)
+        assert store.pops[here].tolist() == np.bitwise_count(want).sum(axis=1).tolist()
     unranked = max(ds.codes(f)[1] for f in cands) <= ds.n
     assert len(by_planes) == len(by_codes)
     for got, want in zip(by_planes, by_codes):
